@@ -37,7 +37,12 @@ from .errors import (
     NumericError,
     OakernError,
 )
-from .hungarian import Assignment, brute_force_assignment, solve_max_assignment
+from .hungarian import (
+    Assignment,
+    brute_force_assignment,
+    max_assignment_value,
+    solve_max_assignment,
+)
 from .matrices import DistanceMatrix, GramMatrix, load_matrix, save_matrix
 from .spectral import (
     DEFAULT_TOL,

@@ -4,6 +4,13 @@ The similarity of two tuples is the best total base-kernel value over all
 injective matchings of the shorter tuple's elements into the longer one's.
 Equal lengths are evaluated with the rows of the profit matrix taken from
 the first argument; both orientations provably agree, this just fixes one.
+
+Gram assembly validates and stacks the elements of all tuples once, then
+for each row tuple computes one profit block against the elements of that
+tuple and every later one, O(L * sum L) memory, and solves each entry of
+the upper triangle as a value-only assignment on a column slice of that
+block. ``profit_matrix`` and ``assignment_kernel`` run the same block and
+solver code on a single pair.
 """
 
 from __future__ import annotations
@@ -19,11 +26,12 @@ from .base_kernel import (
     Element,
     Point,
     as_point,
-    eval_base,
+    kernel_block,
     parse_base_kernel,
+    stack_elements,
 )
 from .errors import InputError
-from .hungarian import solve_max_assignment
+from .hungarian import max_assignment_value
 from .matrices import GramMatrix
 from .serialize import loads_json
 
@@ -48,16 +56,12 @@ class TupleObject:
 
 def profit_matrix(x: TupleObject, y: TupleObject, base: BaseKernel) -> np.ndarray:
     """|x| x |y| matrix of base-kernel values between the tuples' elements."""
-    P = np.empty((len(x), len(y)))
-    for i, xi in enumerate(x.elements):
-        for j, yj in enumerate(y.elements):
-            P[i, j] = eval_base(base, xi, yj)
-    return P
+    return kernel_block(base, stack_elements(base, x.elements), stack_elements(base, y.elements))
 
 
 def assignment_kernel(x: TupleObject, y: TupleObject, base: BaseKernel) -> float:
     """Best total base-kernel value over injections of the shorter tuple."""
-    return solve_max_assignment(profit_matrix(x, y, base)).value
+    return max_assignment_value(profit_matrix(x, y, base))
 
 
 def gram_labels(tuples: Sequence[TupleObject]) -> tuple[str, ...]:
@@ -68,10 +72,18 @@ def gram_matrix(tuples: Sequence[TupleObject], base: BaseKernel) -> GramMatrix:
     """Pairwise kernel values; the upper triangle is computed and mirrored."""
     if not tuples:
         raise InputError("need at least one tuple")
-    return GramMatrix.from_triangle(
-        gram_labels(tuples),
-        lambda i, j: assignment_kernel(tuples[i], tuples[j], base),
-    )
+    stack = stack_elements(base, [e for t in tuples for e in t.elements])
+    ends = np.cumsum([len(t) for t in tuples]).tolist()
+    starts = [end - len(t) for end, t in zip(ends, tuples)]
+    n = len(tuples)
+    values = np.empty((n, n))
+    for i in range(n):
+        first = starts[i]
+        block = kernel_block(base, stack[first:ends[i]], stack[first:])
+        for j in range(i, n):
+            value = max_assignment_value(block[:, starts[j] - first:ends[j] - first])
+            values[i, j] = values[j, i] = value
+    return GramMatrix(gram_labels(tuples), values)
 
 
 def _parse_element(obj) -> Element:

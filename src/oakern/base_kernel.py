@@ -4,6 +4,12 @@ Two concrete kinds cover everything downstream needs: a Gaussian RBF kernel
 on real vectors, and a lookup table on a finite label set. A table stores
 one triangle only, so symmetry of ``eval_base`` is structural. The
 degenerate single-element base set is the table ``{("1","1"): 1}``.
+
+``eval_base`` evaluates one pair of elements. Profit matrices are built in
+blocks instead: ``stack_elements`` validates a run of elements once and
+packs them into one array (coordinates for RBF, label codes for a table),
+and ``kernel_block`` evaluates every pair between two such stacks in one
+array operation.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ class TableKernel:
     that :func:`validate_base` can flag them.
     """
 
-    __slots__ = ("labels", "_index", "_tri")
+    __slots__ = ("labels", "_index", "_tri", "_dense")
 
     def __init__(self, labels: Sequence[str], values) -> None:
         labels = tuple(str(l) for l in labels)
@@ -88,7 +94,7 @@ class TableKernel:
             raise ConfigError("table kernel needs at least one label")
         if len(set(labels)) != len(labels):
             raise ConfigError("table labels must be unique")
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)  # a copy: frozen below as the dense table
         n = len(labels)
         if arr.shape != (n, n):
             raise ConfigError(f"table shape {arr.shape} does not match {n} labels")
@@ -99,6 +105,8 @@ class TableKernel:
         self.labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
         self._tri = tuple(tuple(float(x) for x in arr[i, i:]) for i in range(n))
+        arr.setflags(write=False)
+        self._dense = arr
 
     def value(self, a: str, b: str) -> float:
         try:
@@ -110,12 +118,7 @@ class TableKernel:
         return self._tri[i][j - i]
 
     def matrix(self) -> np.ndarray:
-        n = len(self.labels)
-        arr = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                arr[i, j] = arr[j, i] = self._tri[i][j - i]
-        return arr
+        return self._dense.copy()
 
     def __eq__(self, other):
         return (
@@ -147,6 +150,51 @@ def eval_base(spec: BaseKernel, u, v) -> float:
             raise InputError("table kernels take label arguments")
         return spec.value(u, v)
     raise InputError(f"unknown base kernel spec {spec!r}")
+
+
+def stack_elements(spec: BaseKernel, elements: Sequence) -> np.ndarray:
+    """Validate elements for ``spec`` and pack them into one array.
+
+    RBF elements become an (N, d) float array of coordinates, all of one
+    dimension; table elements become an (N,) array of label codes.
+    """
+    if isinstance(spec, RBFKernel):
+        points = []
+        for e in elements:
+            if isinstance(e, str):
+                raise InputError(f"rbf kernels take coordinate elements, got label {e!r}")
+            points.append(as_point(e))
+        dims = sorted({p.dim for p in points})
+        if len(dims) > 1:
+            raise InputError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
+        return np.array([p.coords for p in points], dtype=float)
+    if isinstance(spec, TableKernel):
+        if not all(isinstance(e, str) for e in elements):
+            raise InputError("table kernels take label arguments")
+        try:
+            return np.array([spec._index[e] for e in elements], dtype=np.intp)
+        except KeyError as exc:
+            raise InputError(f"unknown table label {exc.args[0]!r}") from None
+    raise InputError(f"unknown base kernel spec {spec!r}")
+
+
+def kernel_block(spec: BaseKernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Base-kernel values between two :func:`stack_elements` stacks, rows by columns.
+
+    Squared distances accumulate coordinate by coordinate in index order,
+    as in :func:`squared_distance`. A distance past float64 range becomes
+    inf and its kernel value 0, silently, as in :func:`eval_base`.
+    """
+    if isinstance(spec, RBFKernel):
+        if rows.shape[1] != cols.shape[1]:
+            raise InputError(f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
+        d2 = np.zeros((rows.shape[0], cols.shape[0]))
+        with np.errstate(over="ignore"):
+            for k in range(rows.shape[1]):
+                diff = rows[:, k, None] - cols[None, :, k]
+                d2 += diff * diff
+        return np.exp(-spec.gamma * d2)
+    return spec._dense[rows[:, None], cols[None, :]]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ not hold). Output is byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -108,6 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import: parsing reuses it read-only
+    return build_parser()
+
+
 def _dispatch(args) -> int:
     if args.command == "gram":
         base, tuples = load_tuple_dataset(args.input)
@@ -153,9 +160,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _dispatch(args)
     except (InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,21 @@
 """Exact maximum-total-profit assignment for rectangular matrices.
 
-The shorter side of the matrix is injected into the longer one so that the
-returned pairing always has min(m, n) pairs. Rectangular inputs are padded
-with zero-profit rows to a square and solved by the O(n^3) shortest
-augmenting path form of the Hungarian method on transformed costs
-(max entry minus profit); zero padding is safe because profits are
-required to be nonnegative. Among equally good pairings the
-lexicographically smallest mapping of the shorter side is returned, which
-keeps every downstream report reproducible.
+The shorter side of the matrix is injected into the longer one, so a
+pairing always has min(m, n) pairs. One solver core serves two paths. It
+is the O(k^2 width) shortest augmenting path form of the Hungarian method
+on transformed costs (max entry minus profit), and it solves the k x width
+problem directly, k <= width.
+
+- :func:`max_assignment_value` is the kernel's path: it returns the
+  optimal total only and pays for nothing else.
+- :func:`solve_max_assignment` also returns the pairing. Among equally good
+  pairings it picks the lexicographically smallest mapping of the shorter
+  side, which keeps every report reproducible. To find it, the matrix is
+  padded with zero-profit rows to a square, so that the solver's
+  potentials describe every optimal pairing through their tight edges.
+  Zero padding is safe because profits are required to be nonnegative.
+
+A total outside float64 range raises :class:`NumericError` on both paths.
 
 ``brute_force_assignment`` is the independent oracle: it enumerates every
 injection and must stay free of any code shared with the solver.
@@ -16,11 +24,12 @@ injection and must stay free of any code shared with the solver.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 _ORACLE_MAX_SIDE = 8
 _ORACLE_CHUNK = 200_000
@@ -59,57 +68,88 @@ def _validate_profits(values) -> np.ndarray:
 
 
 def _selection_value(wide: np.ndarray, mapping) -> float:
+    # Python floats overflow to inf without numpy's RuntimeWarning on stderr
     total = 0.0
     for i, j in enumerate(mapping):
-        total += wide[i, j]
+        total += float(wide[i, j])
     return total
 
 
-def _lap_min_square(cost: np.ndarray):
-    """Shortest-augmenting-path assignment on a square cost matrix.
+def _checked_value(wide: np.ndarray, mapping) -> float:
+    total = _selection_value(wide, mapping)
+    if not math.isfinite(total):
+        raise NumericError(f"assignment total {total} is outside float64 range")
+    return total
+
+
+def _lap_min(cost: list[list[float]]):
+    """Shortest-augmenting-path assignment of every row of a k x width cost, k <= width.
+
+    ``cost`` is a list of k rows of equal length. Each row in turn is matched
+    by a Dijkstra search over reduced costs that scans only the columns not
+    yet reached, preferring an unassigned column on ties (Crouse, "On
+    implementing 2D rectangular assignment algorithms", 2016). Plain Python
+    lists beat numpy here: the matrices are small and each search step
+    touches at most ``width`` entries.
 
     Returns ``(col_of_row, u, v)`` where the potentials satisfy
-    u[i] + v[j] <= cost[i, j] with equality on assigned edges, so the tight
+    u[i] + v[j] <= cost[i][j] with equality on assigned edges, so the tight
     edges characterize every optimal assignment.
     """
-    n = cost.shape[0]
-    # 1-based working arrays; index 0 is the virtual start column.
-    a = np.zeros((n + 1, n + 1))
-    a[1:, 1:] = cost
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.intp)  # p[j] = row currently matched to column j
-    way = np.zeros(n + 1, dtype=np.intp)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+    k = len(cost)
+    width = len(cost[0])
+    inf = math.inf
+    u = [0.0] * k
+    v = [0.0] * width
+    col_of_row = [-1] * k
+    row_of_col = [-1] * width
+    for root in range(k):
+        shortest = [inf] * width
+        path = [-1] * width
+        remaining = list(range(width))
+        scanned_rows = []
+        scanned_cols = []
+        reach = 0.0
+        i = root
+        sink = -1
+        while sink < 0:
+            scanned_rows.append(i)
+            row = cost[i]
+            offset = reach - u[i]
+            lowest = inf
+            pick = -1
+            for pos, j in enumerate(remaining):
+                r = offset + row[j] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                else:
+                    r = shortest[j]
+                if r < lowest or (r == lowest and row_of_col[j] < 0):
+                    lowest = r
+                    pick = pos
+            reach = lowest
+            j = remaining[pick]
+            remaining[pick] = remaining[-1]
+            remaining.pop()
+            scanned_cols.append(j)
+            if row_of_col[j] < 0:
+                sink = j
+            else:
+                i = row_of_col[j]
+        u[root] += reach
+        for i in scanned_rows[1:]:
+            u[i] += reach - shortest[col_of_row[i]]
+        for j in scanned_cols:
+            v[j] -= reach - shortest[j]
+        j = sink
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = a[i0] - u[i0] - v
-            free = ~used
-            better = free & (cur < minv)
-            minv[better] = cur[better]
-            way[better] = j0
-            free_idx = np.flatnonzero(free)
-            j1 = int(free_idx[np.argmin(minv[free_idx])])
-            delta = minv[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            i = path[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == root:
                 break
-        while j0 != 0:
-            j1 = int(way[j0])
-            p[j0] = p[j1]
-            j0 = j1
-    col_of_row = np.empty(n, dtype=np.intp)
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
-    return col_of_row, u[1:], v[1:]
+    return col_of_row, u, v
 
 
 def _augment(row, tight, row_to_col, col_to_row, fixed_col, visited) -> bool:
@@ -169,6 +209,24 @@ def _lex_smallest_mapping(tight: np.ndarray, init_col_of_row: np.ndarray, k: int
     return row_to_col[:k]
 
 
+def _oriented(P: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The profits with the shorter side as rows, and whether that transposed them."""
+    transposed = P.shape[0] > P.shape[1]
+    return (P.T if transposed else P), transposed
+
+
+def max_assignment_value(profits) -> float:
+    """Total profit of a maximum-profit injection of the shorter side into the longer.
+
+    Equals ``solve_max_assignment(profits).value`` up to float accumulation
+    among tied optima, without building the pairing.
+    """
+    wide, _ = _oriented(_validate_profits(profits))
+    top = float(wide.max())
+    col_of_row, _, _ = _lap_min((top - wide).tolist())
+    return _checked_value(wide, col_of_row)
+
+
 def solve_max_assignment(profits) -> Assignment:
     """Maximum-profit injective assignment of the shorter side into the longer.
 
@@ -176,34 +234,31 @@ def solve_max_assignment(profits) -> Assignment:
     pairings the lexicographically smallest mapping is selected by a
     canonicalization pass over the tight-edge graph of the solved problem.
     """
-    P = _validate_profits(profits)
-    m, n = P.shape
-    transposed = m > n
-    wide = P.T if transposed else P
+    wide, transposed = _oriented(_validate_profits(profits))
     k, width = wide.shape
 
     square = np.zeros((width, width))
     square[:k] = wide
     top = float(wide.max())
     cost = top - square
-    col_of_row, u, v = _lap_min_square(cost)
+    col_of_row, u, v = _lap_min(cost.tolist())
+    col_of_row = np.array(col_of_row, dtype=np.intp)
 
     # Complementary slackness: optimal assignments live on tight edges.
-    slack = cost - u[:, None] - v[None, :]
+    slack = cost - np.array(u)[:, None] - np.array(v)[None, :]
     eps = 1e-11 * max(1.0, top)
     tight = slack <= eps
     mapping = _lex_smallest_mapping(tight, col_of_row, k)
 
-    value = _selection_value(wide, mapping)
-    base_value = _selection_value(wide, col_of_row[:k])
-    if value < base_value - 1e-13 * max(1.0, top):
+    solved = col_of_row[:k]
+    if _selection_value(wide, mapping) < _selection_value(wide, solved) - 1e-13 * max(1.0, top):
         # Degenerate near-tie slipped into the tight graph; keep the exact
         # optimum rather than the lexicographic preference.
-        mapping = col_of_row[:k].copy()
-        value = base_value
+        mapping = solved
+    value = _checked_value(wide, mapping)
 
     pairs = tuple((i, int(j)) for i, j in enumerate(mapping))
-    return Assignment(pairs=pairs, value=float(value), side="columns" if transposed else "rows")
+    return Assignment(pairs=pairs, value=value, side="columns" if transposed else "rows")
 
 
 def brute_force_assignment(profits) -> Assignment:

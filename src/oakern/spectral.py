@@ -96,8 +96,16 @@ def jacobi_eigen(G, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
     off-diagonal entry per rotation, until the off-diagonal Frobenius norm
     drops below 1e-12 of the input norm. Raises :class:`NumericError` if
     ``max_sweeps`` sweeps do not get there.
+
+    The sweeps run on A scaled by a power of two that brings its largest
+    entry into [0.5, 1), so that the norms neither overflow nor underflow.
+    The scaling is exact for every entry above 2^-1022 times the largest,
+    and every rotation commutes with it, so the eigenvectors are those of A
+    and the eigenvalues are scaled back exactly.
     """
-    A = _as_symmetric(G).copy()
+    A = _as_symmetric(G)
+    _, exponent = math.frexp(float(np.max(np.abs(A))))
+    A = np.ldexp(A, -exponent)
     n = A.shape[0]
     V = np.eye(n)
     scale = float(np.linalg.norm(A))
@@ -144,7 +152,10 @@ def jacobi_eigen(G, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
                 V[:, q] = vq + s * (vp - tau * vq)
         sweeps += 1
 
-    eigenvalues = np.diag(A).copy()
+    with np.errstate(over="ignore"):
+        eigenvalues = np.ldexp(np.diag(A), exponent)
+    if not np.all(np.isfinite(eigenvalues)):
+        raise NumericError("an eigenvalue is outside float64 range")
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     V = V[:, order]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oakern import cli
 from oakern.assignment_kernel import (
     TupleObject,
     assignment_kernel,
@@ -13,10 +14,11 @@ from oakern.assignment_kernel import (
     parse_tuple_dataset,
     profit_matrix,
 )
-from oakern.base_kernel import Point, RBFKernel, constant_one
+from oakern.base_kernel import Point, RBFKernel, TableKernel, constant_one, eval_base
 from oakern.counterexample import build_square_config, expected_gram_closed_form
 from oakern.errors import InputError
-from oakern.hungarian import brute_force_assignment
+from oakern.hungarian import brute_force_assignment, solve_max_assignment
+from oakern.serialize import dumps_json
 
 RBF1 = RBFKernel(gamma=1.0)
 
@@ -169,3 +171,106 @@ def test_parse_dataset_with_labels():
 def test_parse_dataset_errors(obj):
     with pytest.raises(InputError):
         parse_tuple_dataset(obj)
+
+
+# ------------------------------------------------ batched Gram assembly
+
+TABLE = TableKernel(("a", "b", "c"), [[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 1.0]])
+# coarse coordinates repeat points and profits, so tied optima are common
+coarse_tuples = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
+                                   st.sampled_from([0.0, 1.0])),
+                         min_size=1, max_size=7).map(lambda pts: TupleObject(elements=tuple(pts)))
+label_tuples = st.lists(st.sampled_from("abc"), min_size=1, max_size=7).map(
+    lambda labels: TupleObject(elements=tuple(labels))
+)
+ones_tuples = st.integers(1, 9).map(lambda k: TupleObject(elements=("1",) * k))
+cases = st.one_of(
+    st.tuples(st.just(RBF1), st.lists(tuple_objects, min_size=1, max_size=6)),
+    st.tuples(st.just(RBFKernel(gamma=0.7)), st.lists(coarse_tuples, min_size=1, max_size=6)),
+    st.tuples(st.just(TABLE), st.lists(label_tuples, min_size=1, max_size=6)),
+    st.tuples(st.just(constant_one()), st.lists(ones_tuples, min_size=1, max_size=6)),
+)
+
+
+def loop_profits(x, y, base):
+    """The per-element reference: one eval_base call per profit entry."""
+    return np.array([[eval_base(base, u, v) for v in y.elements] for u in x.elements])
+
+
+@given(cases)
+@settings(max_examples=150)
+def test_gram_matches_per_pair_solver(case):
+    base, tuples = case
+    gram = gram_matrix(tuples, base).values
+    for i, x in enumerate(tuples):
+        for j, y in enumerate(tuples):
+            # both orientations: the row tuple's elements as rows, then as columns
+            want = solve_max_assignment(loop_profits(x, y, base)).value
+            assert abs(gram[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(assignment_kernel(x, y, base) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@given(cases)
+def test_profit_matrix_matches_per_element_loop(case):
+    base, tuples = case
+    x, y = tuples[0], tuples[-1]
+    got = profit_matrix(x, y, base)
+    want = loop_profits(x, y, base)
+    assert got.shape == want.shape
+    # numpy's exp and the C library's may round the last bit apart
+    assert np.all(np.abs(got - want) <= 2.0**-52 * np.maximum(1.0, np.abs(want)))
+
+
+@given(cases, st.randoms(use_true_random=False))
+def test_gram_permutes_with_the_tuples(case, rnd):
+    base, tuples = case
+    order = list(range(len(tuples)))
+    rnd.shuffle(order)
+    gram = gram_matrix(tuples, base).values
+    permuted = gram_matrix([tuples[k] for k in order], base).values
+    assert np.all(np.abs(permuted - gram[np.ix_(order, order)]) <= 1e-12 * np.maximum(1.0, np.abs(gram)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_apart_points_have_zero_profit():
+    # squared distances overflow float64; the per-element path gives 0 without a warning
+    x = TupleObject(elements=((1e200, 0.0), (0.0, 0.0)))
+    y = TupleObject(elements=((-1e200, 0.0),))
+    assert profit_matrix(x, y, RBF1).tolist() == [[0.0], [0.0]]
+    assert gram_matrix([x, y], RBF1).values[0, 1] == 0.0
+
+
+BAD_DATASETS = {
+    "mixed point dimensions": {
+        "base_kernel": {"type": "rbf", "gamma": 1.0},
+        "tuples": [{"elements": [[0.0, 0.0]]}, {"elements": [[0.0, 0.0, 1.0]]}],
+    },
+    "unknown table label": {
+        "base_kernel": {"type": "table", "labels": ["a", "b"], "values": [[1, 0], [0, 1]]},
+        "tuples": [{"elements": ["a"]}, {"elements": ["b", "z"]}],
+    },
+    "label under an rbf kernel": {
+        "base_kernel": {"type": "rbf", "gamma": 1.0},
+        "tuples": [{"elements": [[0.0, 0.0]]}, {"elements": [[1.0, 0.0], "a"]}],
+    },
+    "point under a table kernel": {
+        "base_kernel": {"type": "constant_one"},
+        "tuples": [{"elements": ["1", "1"]}, {"elements": [[0.0]]}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DATASETS))
+def test_gram_input_errors(name, tmp_path, capsys):
+    base, tuples = parse_tuple_dataset(BAD_DATASETS[name])
+    with pytest.raises(InputError):
+        gram_matrix(tuples, base)
+    with pytest.raises(InputError):
+        assignment_kernel(tuples[0], tuples[-1], base)
+
+    path = tmp_path / "bad.json"
+    path.write_text(dumps_json(BAD_DATASETS[name]), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["gram", "--input", str(path), "--output", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

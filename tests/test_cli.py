@@ -169,6 +169,58 @@ def test_numeric_error_exit_2(tmp_path, monkeypatch):
     assert run_cli("spectrum", "--input", path) == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_gram_exits_2(tmp_path, capsys):
+    # the self-pair's profit block is [[1e308, 1e308], [1e308, 1e308]]
+    dataset = {
+        "base_kernel": {"type": "table", "labels": ["a"], "values": [[1e308]]},
+        "tuples": [{"elements": ["a", "a"]}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_json(dataset), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("gram", "--input", path, "--output", tmp_path / "gram.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectrum_of_huge_entries(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_json({"values": [[0.0, 1e200], [1e200, 0.0]]}), encoding="utf-8")
+    out = tmp_path / "spec.json"
+    assert run_cli("spectrum", "--input", path, "--output", out) == 0
+    spectrum = loads_json(out.read_text(encoding="utf-8"))
+    assert spectrum["eigenvalues"] == [1e200, -1e200]
+    assert spectrum["psd"] is False
+
+    # eigenvalue 2e308 is past float64's largest value
+    path.write_text(dumps_json({"values": [[1e308, 1e308], [1e308, 1e308]]}), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("spectrum", "--input", path, "--output", out) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_parser_is_built_once(monkeypatch, tmp_path):
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        out = tmp_path / "verdict.json"
+        assert run_cli("verify-min-kernel", "--lengths", "1,2", "--output", out) == 0
+        assert run_cli("no-such-command") == 1
+        assert run_cli("verify-min-kernel", "--lengths", "3", "--output", out) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
 def test_consistency_error_exit_3(monkeypatch):
     from oakern.errors import ConsistencyError
 

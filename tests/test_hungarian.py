@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oakern.errors import InputError
-from oakern.hungarian import Assignment, brute_force_assignment, solve_max_assignment
+from oakern.errors import InputError, NumericError
+from oakern.hungarian import (
+    Assignment,
+    brute_force_assignment,
+    max_assignment_value,
+    solve_max_assignment,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,6 +109,21 @@ def test_exact_ties_agree_with_oracle(P):
     oracle = brute_force_assignment(P)
     assert asg.value == oracle.value
     assert asg.pairs == oracle.pairs
+    assert max_assignment_value(P) == oracle.value
+
+
+@given(profit_matrices(max_rows=8, max_cols=8))
+@settings(max_examples=150)
+def test_value_path_matches_oracle(P):
+    assert abs(max_assignment_value(P) - brute_force_assignment(P).value) <= 1e-12
+
+
+def test_overflowing_total_rejected():
+    P = [[1e308, 1e308], [1e308, 1e308]]
+    with pytest.raises(NumericError):
+        solve_max_assignment(P)
+    with pytest.raises(NumericError):
+        max_assignment_value(P)
 
 
 @given(profit_matrices(), st.randoms(use_true_random=False))
@@ -151,6 +171,8 @@ def test_pairing_is_injective(P):
 def test_invalid_profits_rejected(bad):
     with pytest.raises(InputError):
         solve_max_assignment(bad)
+    with pytest.raises(InputError):
+        max_assignment_value(bad)
     with pytest.raises(InputError):
         brute_force_assignment(bad)
 

@@ -96,6 +96,15 @@ def test_zero_matrix():
     assert psd_check(spectrum).psd
 
 
+@pytest.mark.parametrize("c", [1e150, 1e-150])
+def test_spectrum_scales_with_the_matrix(c):
+    # norms of c*G overflow (c = 1e150) or underflow (c = 1e-150) in float64
+    G = expected_gram_closed_form(1.0).values
+    base = jacobi_eigen(G).eigenvalues
+    scaled = jacobi_eigen(c * G).eigenvalues
+    assert np.all(np.abs(scaled - c * base) <= 1e-12 * c * np.max(np.abs(base)))
+
+
 def test_jacobi_input_errors():
     with pytest.raises(InputError):
         jacobi_eigen(np.array([[1.0, 2.0], [3.0, 4.0]]))  # not symmetric
