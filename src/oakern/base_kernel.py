@@ -1,8 +1,9 @@
 """Base kernels on tuple elements.
 
 Two concrete kinds cover everything downstream needs: a Gaussian RBF kernel
-on real vectors, and a lookup table on a finite label set. A table stores
-one triangle only, so symmetry of ``eval_base`` is structural. The
+on real vectors, and a lookup table on a finite label set. A table copies
+its upper triangle over the lower one, so symmetry of ``eval_base`` is
+structural. The
 degenerate single-element base set is the table ``{("1","1"): 1}``.
 
 ``eval_base`` evaluates one pair of elements. Profit matrices are built in
@@ -80,13 +81,14 @@ class RBFKernel:
 class TableKernel:
     """Kernel given by an explicit symmetric table over a finite label set.
 
-    The constructor checks shape, finiteness and exact symmetry, then keeps
-    only the upper triangle; both argument orders read the same stored cell.
+    The constructor checks shape, finiteness and exact symmetry, then copies
+    the upper triangle over the lower one, so both argument orders read the
+    same stored value (a signed zero included).
     Value-domain problems (negative entries) are representable on purpose so
     that :func:`validate_base` can flag them.
     """
 
-    __slots__ = ("labels", "_index", "_tri", "_dense")
+    __slots__ = ("labels", "_index", "_dense")
 
     def __init__(self, labels: Sequence[str], values) -> None:
         labels = tuple(str(l) for l in labels)
@@ -94,7 +96,7 @@ class TableKernel:
             raise ConfigError("table kernel needs at least one label")
         if len(set(labels)) != len(labels):
             raise ConfigError("table labels must be unique")
-        arr = np.array(values, dtype=float)  # a copy: frozen below as the dense table
+        arr = np.array(values, dtype=float)  # a copy: mirrored and frozen below
         n = len(labels)
         if arr.shape != (n, n):
             raise ConfigError(f"table shape {arr.shape} does not match {n} labels")
@@ -104,7 +106,8 @@ class TableKernel:
             raise ConfigError("table is not exactly symmetric")
         self.labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
-        self._tri = tuple(tuple(float(x) for x in arr[i, i:]) for i in range(n))
+        upper = np.triu_indices(n, 1)
+        arr[upper[::-1]] = arr[upper]
         arr.setflags(write=False)
         self._dense = arr
 
@@ -113,9 +116,7 @@ class TableKernel:
             i, j = self._index[a], self._index[b]
         except KeyError as exc:
             raise InputError(f"unknown table label {exc.args[0]!r}") from None
-        if i > j:
-            i, j = j, i
-        return self._tri[i][j - i]
+        return float(self._dense[i, j])
 
     def matrix(self) -> np.ndarray:
         return self._dense.copy()
@@ -124,7 +125,7 @@ class TableKernel:
         return (
             isinstance(other, TableKernel)
             and self.labels == other.labels
-            and self._tri == other._tri
+            and np.array_equal(self._dense, other._dense)
         )
 
     def __repr__(self):
@@ -182,8 +183,9 @@ def kernel_block(spec: BaseKernel, rows: np.ndarray, cols: np.ndarray) -> np.nda
     """Base-kernel values between two :func:`stack_elements` stacks, rows by columns.
 
     Squared distances accumulate coordinate by coordinate in index order,
-    as in :func:`squared_distance`. A distance past float64 range becomes
-    inf and its kernel value 0, silently, as in :func:`eval_base`.
+    as in :func:`squared_distance`. A distance or ``gamma * distance`` past
+    float64 range becomes inf and its kernel value 0, silently, as in
+    :func:`eval_base`.
     """
     if isinstance(spec, RBFKernel):
         if rows.shape[1] != cols.shape[1]:
@@ -193,7 +195,7 @@ def kernel_block(spec: BaseKernel, rows: np.ndarray, cols: np.ndarray) -> np.nda
             for k in range(rows.shape[1]):
                 diff = rows[:, k, None] - cols[None, :, k]
                 d2 += diff * diff
-        return np.exp(-spec.gamma * d2)
+            return np.exp(-spec.gamma * d2)
     return spec._dense[rows[:, None], cols[None, :]]
 
 

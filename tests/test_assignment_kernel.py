@@ -238,6 +238,12 @@ def test_far_apart_points_have_zero_profit():
     y = TupleObject(elements=((-1e200, 0.0),))
     assert profit_matrix(x, y, RBF1).tolist() == [[0.0], [0.0]]
     assert gram_matrix([x, y], RBF1).values[0, 1] == 0.0
+    # finite squared distance 1e300, but gamma * distance overflows
+    steep = RBFKernel(1e10)
+    x = TupleObject(elements=((1e150,),))
+    y = TupleObject(elements=((0.0,),))
+    assert profit_matrix(x, y, steep).tolist() == [[0.0]]
+    assert gram_matrix([x, y], steep).values[0, 1] == 0.0
 
 
 BAD_DATASETS = {

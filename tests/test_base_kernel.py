@@ -13,6 +13,7 @@ from oakern.base_kernel import (
     base_kernel_to_json_obj,
     constant_one,
     eval_base,
+    kernel_block,
     parse_base_kernel,
     squared_distance,
     validate_base,
@@ -114,6 +115,16 @@ def test_table_reads_one_triangle():
     assert eval_base(spec, "x", "y") == 0.3
     assert eval_base(spec, "y", "x") == eval_base(spec, "x", "y")
     assert eval_base(spec, "z", "z") == 2.0
+
+
+def test_table_mirrors_the_upper_triangle():
+    # -0.0 == 0.0 passes the symmetry check; every reader sees the upper cell
+    spec = TableKernel(("x", "y"), [[1.0, -0.0], [0.0, 1.0]])
+    assert math.copysign(1.0, eval_base(spec, "x", "y")) == -1.0
+    assert math.copysign(1.0, eval_base(spec, "y", "x")) == -1.0
+    assert np.signbit(spec.matrix()[1, 0])
+    assert np.signbit(kernel_block(spec, np.array([1]), np.array([0]))[0, 0])
+    assert spec == TableKernel(("x", "y"), [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_table_construction_errors():
