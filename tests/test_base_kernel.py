@@ -115,9 +115,6 @@ def test_table_reads_one_triangle():
     assert eval_base(spec, "x", "y") == 0.3
     assert eval_base(spec, "y", "x") == eval_base(spec, "x", "y")
     assert eval_base(spec, "z", "z") == 2.0
-
-
-def test_table_mirrors_the_upper_triangle():
     # -0.0 == 0.0 passes the symmetry check; every reader sees the upper cell
     spec = TableKernel(("x", "y"), [[1.0, -0.0], [0.0, 1.0]])
     assert math.copysign(1.0, eval_base(spec, "x", "y")) == -1.0
