@@ -7,10 +7,11 @@ the first argument; both orientations provably agree, this just fixes one.
 
 Gram assembly validates and stacks the elements of all tuples once, then
 for each row tuple computes one profit block against the elements of that
-tuple and every later one, O(L * sum L) memory, and solves each entry of
-the upper triangle as a value-only assignment on a column slice of that
-block. ``profit_matrix`` and ``assignment_kernel`` run the same block and
-solver code on a single pair.
+tuple and every later one, O(L * sum L) memory. One solver call per row
+block validates the block's profits and converts them to costs once, then
+solves each entry of the upper triangle as a value-only assignment on a
+column slice of those costs. ``profit_matrix`` and ``assignment_kernel``
+run the same block and solver code on a single pair.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .base_kernel import (
     stack_elements,
 )
 from .errors import InputError
-from .hungarian import max_assignment_value
+from .hungarian import block_assignment_values, max_assignment_value
 from .matrices import GramMatrix
 from .serialize import loads_json
 
@@ -80,9 +81,8 @@ def gram_matrix(tuples: Sequence[TupleObject], base: BaseKernel) -> GramMatrix:
     for i in range(n):
         first = starts[i]
         block = kernel_block(base, stack[first:ends[i]], stack[first:])
-        for j in range(i, n):
-            value = max_assignment_value(block[:, starts[j] - first:ends[j] - first])
-            values[i, j] = values[j, i] = value
+        ranges = [(starts[j] - first, ends[j] - first) for j in range(i, n)]
+        values[i, i:] = values[i:, i] = block_assignment_values(block, ranges)
     return GramMatrix(gram_labels(tuples), values)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,18 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite nonnegative number, got {text!r}"
+        )
+    return tol
+
+
 def _parse_lengths(text: str) -> list[int]:
     try:
         values = [int(x) for x in text.split(",") if x.strip()]
@@ -75,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tol=True, output=True):
         if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+            p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
                            help="relative PSD tolerance (default 1e-9)")
         if output:
             p.add_argument("--output", default=None, help="output path (default: stdout)")

@@ -320,11 +320,8 @@ def verify_min_kernel_psd(lengths: Sequence[int], tol: float = DEFAULT_TOL) -> M
         for length in clean
     )
     gram = gram_matrix(tuples, constant_one())
-    entries_exact = all(
-        gram.values[i, j] == float(min(li, lj))
-        for i, li in enumerate(clean)
-        for j, lj in enumerate(clean)
-    )
+    as_floats = np.array(clean, dtype=float)
+    entries_exact = np.array_equal(gram.values, np.minimum.outer(as_floats, as_floats))
     verdict = psd_check(jacobi_eigen(gram.values), tol)
     return MinKernelVerdict(
         lengths=tuple(clean),

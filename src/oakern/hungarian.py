@@ -1,13 +1,19 @@
 """Exact maximum-total-profit assignment for rectangular matrices.
 
 The shorter side of the matrix is injected into the longer one, so a
-pairing always has min(m, n) pairs. One solver core serves two paths. It
+pairing always has min(m, n) pairs. One solver core serves every path. It
 is the O(k^2 width) shortest augmenting path form of the Hungarian method
-on transformed costs (max entry minus profit), and it solves the k x width
-problem directly, k <= width.
+on costs that reverse the profits (negated on the value path, subtracted
+from the largest profit on the pairing path), and it solves the k x width
+problem directly, k <= width. It starts from a greedy row reduction
+(Jonker & Volgenant, 1987): each row takes its cheapest column if that
+column is still free, and only the rows that collide go through a search.
 
-- :func:`max_assignment_value` is the kernel's path: it returns the
-  optimal total only and pays for nothing else.
+- :func:`block_assignment_values` is the kernel's path. It takes one profit
+  block and a list of column ranges, validates the block and converts it to
+  cost lists once, and returns the optimal total of each range's assignment
+  problem, paying for nothing else. :func:`max_assignment_value` is its
+  one-range case.
 - :func:`solve_max_assignment` also returns the pairing. Among equally good
   pairings it picks the lexicographically smallest mapping of the shorter
   side, which keeps every report reproducible. To find it, the matrix is
@@ -15,7 +21,7 @@ problem directly, k <= width.
   potentials describe every optimal pairing through their tight edges.
   Zero padding is safe because profits are required to be nonnegative.
 
-A total outside float64 range raises :class:`NumericError` on both paths.
+A total outside float64 range raises :class:`NumericError` on every path.
 
 ``brute_force_assignment`` is the independent oracle: it enumerates every
 injection and must stay free of any code shared with the solver.
@@ -75,8 +81,7 @@ def _selection_value(wide: np.ndarray, mapping) -> float:
     return total
 
 
-def _checked_value(wide: np.ndarray, mapping) -> float:
-    total = _selection_value(wide, mapping)
+def _checked_total(total: float) -> float:
     if not math.isfinite(total):
         raise NumericError(f"assignment total {total} is outside float64 range")
     return total
@@ -85,16 +90,21 @@ def _checked_value(wide: np.ndarray, mapping) -> float:
 def _lap_min(cost: list[list[float]]):
     """Shortest-augmenting-path assignment of every row of a k x width cost, k <= width.
 
-    ``cost`` is a list of k rows of equal length. Each row in turn is matched
-    by a Dijkstra search over reduced costs that scans only the columns not
-    yet reached, preferring an unassigned column on ties (Crouse, "On
-    implementing 2D rectangular assignment algorithms", 2016). Plain Python
-    lists beat numpy here: the matrices are small and each search step
-    touches at most ``width`` entries.
+    ``cost`` is a list of k rows of equal length and finite entries. The
+    start is a greedy row reduction (Jonker & Volgenant, "A shortest
+    augmenting path algorithm for dense and sparse linear assignment
+    problems", 1987): row i gets u[i] = its smallest cost and takes the
+    first column with that cost if no earlier row holds it. Each row left
+    over is then matched by a Dijkstra search over reduced costs that scans
+    only the columns not yet reached, preferring an unassigned column on
+    ties (Crouse, "On implementing 2D rectangular assignment algorithms",
+    2016). Plain Python lists beat numpy here: the matrices are small and
+    each search step touches at most ``width`` entries.
 
     Returns ``(col_of_row, u, v)`` where the potentials satisfy
-    u[i] + v[j] <= cost[i][j] with equality on assigned edges, so the tight
-    edges characterize every optimal assignment.
+    u[i] + v[j] <= cost[i][j] with equality on assigned edges and v[j] = 0
+    on unassigned columns. They are optimal duals, so the tight edges
+    characterize every optimal assignment.
     """
     k = len(cost)
     width = len(cost[0])
@@ -103,7 +113,17 @@ def _lap_min(cost: list[list[float]]):
     v = [0.0] * width
     col_of_row = [-1] * k
     row_of_col = [-1] * width
-    for root in range(k):
+    searches = []
+    for i, row in enumerate(cost):
+        lowest = min(row)
+        u[i] = lowest
+        j = row.index(lowest)
+        if row_of_col[j] < 0:
+            row_of_col[j] = i
+            col_of_row[i] = j
+        else:
+            searches.append(i)
+    for root in searches:
         shortest = [inf] * width
         path = [-1] * width
         remaining = list(range(width))
@@ -215,16 +235,48 @@ def _oriented(P: np.ndarray) -> tuple[np.ndarray, bool]:
     return (P.T if transposed else P), transposed
 
 
+def block_assignment_values(block, ranges) -> list[float]:
+    """Maximum-profit assignment totals of column slices of one profit block.
+
+    ``ranges`` lists ``(start, end)`` column ranges, each non-empty and
+    inside the block; entry t of the result is the optimal total of
+    ``block[:, start:end]`` for ``ranges[t]``, the shorter side injected into
+    the longer one. The block is validated, and its costs (the negated
+    profits: the greedy start needs no shift to nonnegative costs) are
+    converted to row and column lists, once for all ranges. Each total is
+    summed from the profits in domain order. Raises :class:`InputError`
+    for a block that :func:`solve_max_assignment` would reject, and
+    :class:`NumericError` for a total outside float64 range.
+    """
+    P = _validate_profits(block)
+    cost = -P
+    cost_rows = cost.tolist()
+    cost_cols = cost.T.tolist()
+    profits = P.tolist()
+    k = len(profits)
+    totals = []
+    for start, end in ranges:
+        total = 0.0
+        if k <= end - start:
+            col_of_row, _, _ = _lap_min([row[start:end] for row in cost_rows])
+            for i, j in enumerate(col_of_row):
+                total += profits[i][start + j]
+        else:
+            row_of_col, _, _ = _lap_min(cost_cols[start:end])
+            for j, i in enumerate(row_of_col, start):
+                total += profits[i][j]
+        totals.append(_checked_total(total))
+    return totals
+
+
 def max_assignment_value(profits) -> float:
     """Total profit of a maximum-profit injection of the shorter side into the longer.
 
     Equals ``solve_max_assignment(profits).value`` up to float accumulation
     among tied optima, without building the pairing.
     """
-    wide, _ = _oriented(_validate_profits(profits))
-    top = float(wide.max())
-    col_of_row, _, _ = _lap_min((top - wide).tolist())
-    return _checked_value(wide, col_of_row)
+    P = _validate_profits(profits)
+    return block_assignment_values(P, [(0, P.shape[1])])[0]
 
 
 def solve_max_assignment(profits) -> Assignment:
@@ -255,7 +307,7 @@ def solve_max_assignment(profits) -> Assignment:
         # Degenerate near-tie slipped into the tight graph; keep the exact
         # optimum rather than the lexicographic preference.
         mapping = solved
-    value = _checked_value(wide, mapping)
+    value = _checked_total(_selection_value(wide, mapping))
 
     pairs = tuple((i, int(j)) for i, j in enumerate(mapping))
     return Assignment(pairs=pairs, value=value, side="columns" if transposed else "rows")

@@ -185,8 +185,8 @@ def _offdiag_norm(A: np.ndarray) -> float:
 
 def psd_check(spectrum: Spectrum, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """Scale-free PSD verdict: psd iff min eigenvalue >= -tol * max(1, max eigenvalue)."""
-    if tol < 0.0:
-        raise InputError(f"tolerance must be nonnegative, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tolerance must be finite and nonnegative, got {tol}")
     min_eig = spectrum.min_eigenvalue
     max_eig = spectrum.max_eigenvalue
     return PsdVerdict(
@@ -221,11 +221,8 @@ def distances_from_gram(gram: GramMatrix) -> DistanceMatrix:
     G = gram.values
     diag = np.diag(G)
     raw = diag[:, None] + diag[None, :] - 2.0 * G
-    violations = []
-    for i in range(G.shape[0]):
-        for j in range(i + 1, G.shape[0]):
-            if raw[i, j] < _METRIC_VIOLATION:
-                violations.append((i, j, float(raw[i, j])))
+    rows, cols = np.nonzero(np.triu(raw < _METRIC_VIOLATION, k=1))  # row-major, i < j
+    violations = zip(rows.tolist(), cols.tolist(), raw[rows, cols].tolist())
     squared = np.maximum(raw, 0.0)
     np.fill_diagonal(squared, 0.0)
     values = np.sqrt(squared)

