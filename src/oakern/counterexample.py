@@ -156,7 +156,10 @@ class CounterexampleReport:
             "gram_computed": self.gram_computed.to_json_obj(),
             "gram_closed_form": self.gram_closed_form.to_json_obj(),
             "max_abs_gram_diff": self.max_abs_gram_diff,
-            "spectrum": self.spectrum.to_json_obj(),
+            "spectrum": {
+                "eigenvalues": [float(w) for w in self.spectrum.eigenvalues],
+                "min_eigenvalue": self.spectrum.min_eigenvalue,
+            },
             "psd_verdict": self.verdict.to_json_obj(),
             "witness": list(WITNESS),
             "witness_value": self.witness_value,

@@ -56,9 +56,6 @@ class Assignment:
     value: float
     side: str
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 def _validate_profits(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)

@@ -18,15 +18,21 @@ from .errors import InputError
 from .serialize import dumps_json, loads_json, matrix_from_csv, matrix_to_csv
 
 
-def _as_square(values) -> np.ndarray:
+def symmetric_array(values) -> np.ndarray:
+    """A float copy of ``values``, checked square, non-empty, finite and exactly symmetric."""
     # always copy: containers freeze their storage, callers keep theirs writable
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"matrix entries must be numbers in equal-length rows: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise InputError("empty matrix")
     if not np.all(np.isfinite(arr)):
         raise InputError("matrix contains non-finite entries")
+    if not np.array_equal(arr, arr.T):
+        raise InputError("matrix is not exactly symmetric")
     return arr
 
 
@@ -38,13 +44,11 @@ class GramMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _as_square(self.values)
+        arr = symmetric_array(self.values)
         if len(self.labels) != arr.shape[0]:
             raise InputError(
                 f"{len(self.labels)} labels for a {arr.shape[0]}x{arr.shape[0]} matrix"
             )
-        if not np.array_equal(arr, arr.T):
-            raise InputError("matrix is not exactly symmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         object.__setattr__(self, "values", arr)
@@ -106,16 +110,6 @@ class DistanceMatrix:
     def distance_sq(self, a: str, b: str) -> float:
         return float(self.squared[self.index_of(a), self.index_of(b)])
 
-    def to_json_obj(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "values": [list(map(float, row)) for row in self.values],
-            "squared": [list(map(float, row)) for row in self.squared],
-            "violations": [
-                {"i": i, "j": j, "squared_distance": raw} for i, j, raw in self.violations
-            ],
-        }
-
 
 def default_labels(n: int, prefix: str = "m") -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
@@ -138,10 +132,9 @@ def matrix_from_json_obj(obj) -> GramMatrix:
         raise InputError('matrix JSON must be an object with a "values" field')
     values = obj["values"]
     labels = obj.get("labels")
-    arr = _as_square(values)
     if labels is None:
-        labels = default_labels(arr.shape[0])
-    return GramMatrix(tuple(labels), arr)
+        labels = default_labels(symmetric_array(values).shape[0])
+    return GramMatrix(tuple(labels), values)
 
 
 def load_matrix(path: str | Path) -> GramMatrix:
@@ -155,6 +148,5 @@ def load_matrix(path: str | Path) -> GramMatrix:
         return matrix_from_json_obj(loads_json(text))
     if path.suffix == ".csv":
         rows = matrix_from_csv(text)
-        arr = _as_square(rows)
-        return GramMatrix(default_labels(arr.shape[0]), arr)
+        return GramMatrix(default_labels(len(rows)), rows)
     raise InputError(f"unsupported matrix file extension {path.suffix!r} (use .json or .csv)")

@@ -3,9 +3,13 @@
 The eigensolver is a cyclic Jacobi sweep: the matrices in this package are
 tiny, and Jacobi delivers high-accuracy orthogonal eigenvectors with a
 convergence test that is trivial to state (off-diagonal Frobenius norm
-below 1e-12 of the input norm, which rotations preserve). Verdicts are
-scale-free: a matrix counts as PSD when its smallest eigenvalue is no
-lower than -tol * max(1, largest eigenvalue).
+below 1e-12 of the input norm, which rotations preserve).
+
+A :class:`Spectrum` holds eigenpairs only, never a verdict. The PSD rule
+lives in :func:`psd_check` alone and is scale-free: with
+rho = max |eigenvalue|, a matrix counts as PSD when its smallest
+eigenvalue is no lower than -tol * rho, and its margin is
+min eigenvalue / rho (0 for the zero matrix, which is PSD).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericError
-from .matrices import DistanceMatrix, GramMatrix
+from .matrices import DistanceMatrix, GramMatrix, symmetric_array
 
 DEFAULT_TOL = 1e-9
 
@@ -26,16 +30,7 @@ _METRIC_VIOLATION = -1e-9
 
 
 def _as_symmetric(G) -> np.ndarray:
-    if isinstance(G, GramMatrix):
-        return G.values
-    arr = np.asarray(G, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise InputError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("matrix contains non-finite entries")
-    if not np.array_equal(arr, arr.T):
-        raise InputError("matrix is not exactly symmetric")
-    return arr
+    return G.values if isinstance(G, GramMatrix) else symmetric_array(G)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,27 +39,19 @@ class Spectrum:
 
     Eigenvalues are sorted in descending order and eigenvector columns are
     aligned with them; each column is signed so its largest-magnitude
-    component is nonnegative. ``psd`` and ``margin`` are evaluated at the
-    default tolerance; use :func:`psd_check` for other tolerances.
+    component is nonnegative. Use :func:`psd_check` for a verdict.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-    min_eigenvalue: float
-    psd: bool
-    margin: float
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[-1])
 
     @property
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
-
-    def to_json_obj(self) -> dict:
-        return {
-            "eigenvalues": [float(w) for w in self.eigenvalues],
-            "min_eigenvalue": self.min_eigenvalue,
-            "psd": self.psd,
-            "margin": self.margin,
-        }
 
 
 @dataclass(frozen=True)
@@ -85,17 +72,13 @@ class PsdVerdict:
         }
 
 
-def _margin(min_eig: float, max_eig: float) -> float:
-    return min_eig / max(1.0, max_eig)
-
-
-def jacobi_eigen(G, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
+def jacobi_eigen(G) -> Spectrum:
     """Eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps row-cyclically over the strict upper triangle, annihilating one
     off-diagonal entry per rotation, until the off-diagonal Frobenius norm
     drops below 1e-12 of the input norm. Raises :class:`NumericError` if
-    ``max_sweeps`` sweeps do not get there.
+    ``_MAX_SWEEPS`` sweeps do not get there.
 
     The sweeps run on A scaled by a power of two that brings its largest
     entry into [0.5, 1), so that the norms neither overflow nor underflow.
@@ -114,9 +97,9 @@ def jacobi_eigen(G, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
 
     sweeps = 0
     while _offdiag_norm(A) > target:
-        if sweeps >= max_sweeps:
+        if sweeps >= _MAX_SWEEPS:
             raise NumericError(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
+                f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps"
             )
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -165,17 +148,7 @@ def jacobi_eigen(G, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
             V[:, col] = -V[:, col]
     eigenvalues.setflags(write=False)
     V.setflags(write=False)
-
-    min_eig = float(eigenvalues[-1])
-    max_eig = float(eigenvalues[0])
-    margin = _margin(min_eig, max_eig)
-    return Spectrum(
-        eigenvalues=eigenvalues,
-        eigenvectors=V,
-        min_eigenvalue=min_eig,
-        psd=min_eig >= -DEFAULT_TOL * max(1.0, max_eig),
-        margin=margin,
-    )
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=V)
 
 
 def _offdiag_norm(A: np.ndarray) -> float:
@@ -184,14 +157,18 @@ def _offdiag_norm(A: np.ndarray) -> float:
 
 
 def psd_check(spectrum: Spectrum, tol: float = DEFAULT_TOL) -> PsdVerdict:
-    """Scale-free PSD verdict: psd iff min eigenvalue >= -tol * max(1, max eigenvalue)."""
+    """The one PSD rule: with rho = max |eigenvalue|, psd iff min eigenvalue >= -tol * rho.
+
+    The margin is min eigenvalue / rho, and 0 for the zero matrix.
+    """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"tolerance must be finite and nonnegative, got {tol}")
     min_eig = spectrum.min_eigenvalue
     max_eig = spectrum.max_eigenvalue
+    rho = max(max_eig, -min_eig)
     return PsdVerdict(
-        psd=min_eig >= -tol * max(1.0, max_eig),
-        margin=_margin(min_eig, max_eig),
+        psd=min_eig >= -tol * rho,
+        margin=min_eig / rho if rho > 0.0 else 0.0,
         min_eigenvalue=min_eig,
         max_eigenvalue=max_eig,
         tol=float(tol),
@@ -237,24 +214,31 @@ def distances_from_gram(gram: GramMatrix) -> DistanceMatrix:
 def psd_project_clip(gram: GramMatrix) -> GramMatrix:
     """Frobenius-nearest PSD matrix: zero out negative eigenvalues and rebuild.
 
-    Matrices that already pass the default-tolerance PSD check are returned
-    unchanged; rebuilding those would only inject the eigensolver's stopping
-    residual, which is what makes this projection exactly idempotent.
+    Matrices that already pass :func:`psd_check` at the default tolerance
+    are returned unchanged; rebuilding those would only inject the
+    eigensolver's stopping residual, which is what makes this projection
+    exactly idempotent. For the same reason, positive eigenvalues within
+    the solver's stopping target (1e-12 of the largest magnitude) are
+    zeroed too: they carry no sign, and a matrix rebuilt from them alone is
+    rounding noise, which for tiny inputs falls to subnormal values that no
+    longer pass the check.
     """
     spectrum = jacobi_eigen(gram.values)
-    if spectrum.psd:
+    if psd_check(spectrum).psd:
         return gram
-    clipped = np.maximum(spectrum.eigenvalues, 0.0)
+    w = spectrum.eigenvalues
+    clipped = np.where(w > _OFFDIAG_TARGET * np.max(np.abs(w)), w, 0.0)
     V = spectrum.eigenvectors
     rebuilt = (V * clipped) @ V.T
     rebuilt = (rebuilt + rebuilt.T) / 2.0
     return GramMatrix(gram.labels, rebuilt)
 
 
-def spectrum_to_json_obj(spectrum: Spectrum, verdict: PsdVerdict | None = None) -> dict:
-    obj = spectrum.to_json_obj()
-    if verdict is not None:
-        obj["psd"] = verdict.psd
-        obj["margin"] = verdict.margin
-        obj["tol"] = verdict.tol
-    return obj
+def spectrum_to_json_obj(spectrum: Spectrum, verdict: PsdVerdict) -> dict:
+    return {
+        "eigenvalues": [float(w) for w in spectrum.eigenvalues],
+        "min_eigenvalue": spectrum.min_eigenvalue,
+        "psd": verdict.psd,
+        "margin": verdict.margin,
+        "tol": verdict.tol,
+    }

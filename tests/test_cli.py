@@ -1,7 +1,9 @@
 """Command dispatch, exit codes, file formats and determinism."""
 
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,54 @@ def test_counterexample_not_refuted_with_huge_tol(tmp_path, capsys):
     assert loads_json(out.read_text(encoding="utf-8"))["refuted"] is False
 
 
+def test_counterexample_report_has_one_verdict(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli("counterexample", "--gamma", "1", "--tol", "0.5", "--output", out) == 3
+    report = loads_json(out.read_text(encoding="utf-8"))
+    assert list(report["spectrum"]) == ["eigenvalues", "min_eigenvalue"]
+    assert report["psd_verdict"]["psd"] is True
+    assert report["psd_verdict"]["tol"] == 0.5
+
+
+def test_spectrum_of_tiny_indefinite_matrix(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(dumps_json({"values": [[1e-12, 0.0], [0.0, -1e-12]]}), encoding="utf-8")
+    out = tmp_path / "spec.json"
+    assert run_cli("spectrum", "--input", path, "--output", out) == 0
+    spectrum = loads_json(out.read_text(encoding="utf-8"))
+    assert spectrum["psd"] is False
+    assert spectrum["margin"] == -1.0
+
+
+def test_repair_of_tiny_indefinite_matrix_passes_spectrum(tmp_path):
+    path = tmp_path / "tiny.json"
+    values = [[2e-12, 1e-12], [1e-12, -1e-12]]
+    path.write_text(dumps_json({"values": values}), encoding="utf-8")
+    fixed = tmp_path / "fixed.json"
+    spec = tmp_path / "spec.json"
+    assert run_cli("repair", "--input", path, "--output", fixed) == 0
+    assert loads_json(fixed.read_text(encoding="utf-8"))["values"] != values
+    assert run_cli("spectrum", "--input", fixed, "--output", spec) == 0
+    assert loads_json(spec.read_text(encoding="utf-8"))["psd"] is True
+
+
+def readme_reproduction_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Reproduce the study", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("oakern ")]
+
+
+def test_readme_reproduction_commands_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_reproduction_commands()
+    assert len(commands) == 3
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    for name in ("report.json", "sweep.csv", "min_kernel.json"):
+        assert (tmp_path / name).is_file(), name
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--grid", "0.1,0.25,0.5,1,2,5", "--output", out) == 0
@@ -144,7 +194,7 @@ def test_input_errors_exit_1(args, tmp_path, capsys):
     assert run_cli(*args) == 1
 
 
-def test_parse_error_on_bad_matrix_file(tmp_path):
+def test_parse_error_on_bad_matrix_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")  # not symmetric
     assert run_cli("spectrum", "--input", bad) == 1
@@ -156,6 +206,16 @@ def test_parse_error_on_bad_matrix_file(tmp_path):
     notjson = tmp_path / "bad.json"
     notjson.write_text("{", encoding="utf-8")
     assert run_cli("spectrum", "--input", notjson) == 1
+
+    # ragged rows and non-numeric entries: one error line, not a traceback
+    for values in ([[1.0, 2.0], [3.0]], [["a"]], [[{}]]):
+        notnumbers = tmp_path / "values.json"
+        notnumbers.write_text(dumps_json({"values": values}), encoding="utf-8")
+        capsys.readouterr()
+        for command in ("spectrum", "repair"):
+            assert run_cli(command, "--input", notnumbers) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 TOL_COMMANDS = {

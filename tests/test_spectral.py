@@ -1,5 +1,6 @@
 """Jacobi eigensolver, PSD verdicts, distances and clip projection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oakern import spectral
 from oakern.counterexample import NULL_DIRECTIONS, WITNESS, expected_gram_closed_form
 from oakern.errors import InputError, NumericError
 from oakern.matrices import GramMatrix, default_labels
 from oakern.spectral import (
+    Spectrum,
     distances_from_gram,
     jacobi_eigen,
     psd_check,
@@ -93,7 +96,9 @@ def test_spectrum_invariants_larger(n):
 def test_zero_matrix():
     spectrum = jacobi_eigen(np.zeros((4, 4)))
     assert np.array_equal(spectrum.eigenvalues, np.zeros(4))
-    assert psd_check(spectrum).psd
+    verdict = psd_check(spectrum)
+    assert verdict.psd
+    assert verdict.margin == 0.0
 
 
 @pytest.mark.parametrize("c", [1e150, 1e-150])
@@ -114,10 +119,40 @@ def test_jacobi_input_errors():
         jacobi_eigen(np.ones((2, 3)))
 
 
-def test_jacobi_sweep_budget():
+def test_jacobi_sweep_budget(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 0)
     G = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NumericError):
-        jacobi_eigen(G, max_sweeps=0)
+        jacobi_eigen(G)
+
+
+def test_spectrum_holds_eigenpairs_only():
+    assert [f.name for f in dataclasses.fields(Spectrum)] == ["eigenvalues", "eigenvectors"]
+    spectrum = jacobi_eigen(np.diag([3.0, -1.0, 2.0]))
+    assert (spectrum.max_eigenvalue, spectrum.min_eigenvalue) == (3.0, -1.0)
+
+
+@pytest.mark.parametrize("c", [2.0**-600, 2.0**-40, 1.0, 2.0**40, 2.0**600])
+def test_psd_verdict_is_scale_free(c):
+    A = np.array([[3.0, 1.0, 0.5], [1.0, 0.2, 0.0], [0.5, 0.0, -0.1]])
+    base = psd_check(jacobi_eigen(A))
+    verdict = psd_check(jacobi_eigen(c * A))
+    assert not verdict.psd
+    assert verdict.margin == base.margin
+    assert verdict.margin < 0.0
+
+
+def test_psd_rule_reads_the_largest_magnitude():
+    # rho is |lambda_min| here, so the margin is -1 at every scale
+    for scale in (1e-12, 1.0, 1e12):
+        verdict = psd_check(jacobi_eigen(np.diag([0.5, -2.0]) * scale))
+        assert not verdict.psd
+        assert verdict.margin == -1.0
+    # the dip of 1e-10 is measured against rho = 0.5, not against 1
+    spectrum = jacobi_eigen(np.diag([0.5, -1e-10]))
+    assert psd_check(spectrum, 1e-9).psd
+    assert not psd_check(spectrum, 1e-10).psd
+    assert psd_check(spectrum, 1e-10).margin == -2e-10
 
 
 def test_psd_check_tolerance_scaling():
@@ -217,6 +252,24 @@ def test_clip_diag_example():
     gram = GramMatrix(("p", "q"), np.diag([1.0, -1.0]))
     out = psd_project_clip(gram)
     assert np.max(np.abs(out.values - np.diag([1.0, 0.0]))) <= 1e-12
+
+
+def test_clip_repairs_a_tiny_indefinite_matrix():
+    # eigenvalues about 2.3e-12 and -1.3e-12: far from PSD relative to their size
+    G = np.array([[2e-12, 1e-12], [1e-12, -1e-12]])
+    out = psd_project_clip(GramMatrix(("p", "q"), G))
+    assert not np.array_equal(out.values, G)
+    assert psd_check(jacobi_eigen(out.values)).psd
+    assert float(np.linalg.norm(out.values - G)) == pytest.approx(
+        -float(np.linalg.eigvalsh(G)[0]), rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("x", [1.0, 1e-303])
+def test_clip_of_negative_rank_one_is_zero(x):
+    # eigenvalues -4x and three zeros that the solver only resolves to rounding
+    out = psd_project_clip(GramMatrix(default_labels(4), np.full((4, 4), -x)))
+    assert np.array_equal(out.values, np.zeros((4, 4)))
 
 
 def test_clip_counterexample_gram():
