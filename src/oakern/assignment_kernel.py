@@ -128,6 +128,6 @@ def parse_tuple_dataset(obj) -> tuple[BaseKernel, tuple[TupleObject, ...]]:
 def load_tuple_dataset(path: str | Path) -> tuple[BaseKernel, tuple[TupleObject, ...]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse_tuple_dataset(loads_json(text))

@@ -16,12 +16,25 @@ array operation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, InputError
+
+
+def _real_number(value, what: str) -> float:
+    """``value`` as a float; anything but a real number (a bool or a string included) is an InputError."""
+    # plain int and float, all that JSON numbers parse to, skip the slower abstract-class check
+    if type(value) not in (float, int):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{what} {value!r} is outside float64 range") from None
 
 
 @dataclass(frozen=True)
@@ -31,7 +44,7 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
+        coords = tuple(_real_number(c, "a coordinate") for c in self.coords)
         if not coords:
             raise InputError("a point needs at least one coordinate")
         if not all(math.isfinite(c) for c in coords):
@@ -96,7 +109,10 @@ class TableKernel:
             raise ConfigError("table kernel needs at least one label")
         if len(set(labels)) != len(labels):
             raise ConfigError("table labels must be unique")
-        arr = np.array(values, dtype=float)  # a copy: mirrored and frozen below
+        try:
+            arr = np.array(values, dtype=float)  # a copy: mirrored and frozen below
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"table entries must be numbers in equal-length rows: {exc}") from exc
         n = len(labels)
         if arr.shape != (n, n):
             raise ConfigError(f"table shape {arr.shape} does not match {n} labels")
@@ -249,14 +265,17 @@ def parse_base_kernel(obj) -> BaseKernel:
     if kind == "rbf":
         if "gamma" not in obj:
             raise InputError('rbf base kernel needs a "gamma" field')
-        return RBFKernel(obj["gamma"])
+        return RBFKernel(_real_number(obj["gamma"], "gamma"))
     if kind == "constant_one":
         return constant_one()
     if kind == "table":
         if "labels" not in obj or "values" not in obj:
             raise InputError('table base kernel needs "labels" and "values" fields')
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise InputError('table "labels" must be a list of strings')
         try:
-            return TableKernel(obj["labels"], obj["values"])
+            return TableKernel(labels, obj["values"])
         except ConfigError as exc:
             raise InputError(str(exc)) from exc
     raise InputError(f"unknown base kernel type {kind!r}")

@@ -1,25 +1,22 @@
 """Exact maximum-total-profit assignment for rectangular matrices.
 
 The shorter side of the matrix is injected into the longer one, so a
-pairing always has min(m, n) pairs. One solver core serves every path. It
-is the O(k^2 width) shortest augmenting path form of the Hungarian method
-on costs that reverse the profits (negated on the value path, subtracted
-from the largest profit on the pairing path), and it solves the k x width
-problem directly, k <= width. It starts from a greedy row reduction
-(Jonker & Volgenant, 1987): each row takes its cheapest column if that
-column is still free, and only the rows that collide go through a search.
+pairing always has min(m, n) pairs. There is one cost convention, the
+negated profits, and one solve: the O(k^2 width) shortest augmenting path
+form of the Hungarian method on the k x width problem, k <= width, taken
+directly without padding. It starts from a greedy row reduction (Jonker &
+Volgenant, 1987): each row takes its cheapest column if that column is
+still free, and only the rows that collide go through a search.
 
 - :func:`block_assignment_values` is the kernel's path. It takes one profit
   block and a list of column ranges, validates the block and converts it to
   cost lists once, and returns the optimal total of each range's assignment
-  problem, paying for nothing else. :func:`max_assignment_value` is its
+  problem, building no pairing. :func:`max_assignment_value` is its
   one-range case.
-- :func:`solve_max_assignment` also returns the pairing. Among equally good
-  pairings it picks the lexicographically smallest mapping of the shorter
-  side, which keeps every report reproducible. To find it, the matrix is
-  padded with zero-profit rows to a square, so that the solver's
-  potentials describe every optimal pairing through their tight edges.
-  Zero padding is safe because profits are required to be nonnegative.
+- :func:`solve_max_assignment` is the same solve on the whole matrix, and
+  also returns the solver's own pairing. Its value equals
+  :func:`max_assignment_value` bit for bit; among equally good pairings,
+  which one it returns is unspecified, but it is always the same one.
 
 A total outside float64 range raises :class:`NumericError` on every path.
 
@@ -100,8 +97,9 @@ def _lap_min(cost: list[list[float]]):
 
     Returns ``(col_of_row, u, v)`` where the potentials satisfy
     u[i] + v[j] <= cost[i][j] with equality on assigned edges and v[j] = 0
-    on unassigned columns. They are optimal duals, so the tight edges
-    characterize every optimal assignment.
+    on unassigned columns. They are optimal duals: the certificate of
+    optimality that the tests check. Callers use only ``col_of_row``; no
+    pass canonicalizes the assignment over the tight edges.
     """
     k = len(cost)
     width = len(cost[0])
@@ -169,67 +167,32 @@ def _lap_min(cost: list[list[float]]):
     return col_of_row, u, v
 
 
-def _augment(row, tight, row_to_col, col_to_row, fixed_col, visited) -> bool:
-    """Kuhn-style rematch of ``row`` through unfixed tight columns."""
-    for j in np.flatnonzero(tight[row]):
-        if fixed_col[j] or visited[j]:
-            continue
-        visited[j] = True
-        owner = col_to_row[j]
-        if owner < 0 or _augment(owner, tight, row_to_col, col_to_row, fixed_col, visited):
-            row_to_col[row] = j
-            col_to_row[j] = row
-            return True
-    return False
+def _solve_range(cost_rows, cost_cols, profits, start: int, end: int):
+    """Optimal assignment of the column range ``start:end`` of one converted block.
 
-
-def _lex_smallest_mapping(tight: np.ndarray, init_col_of_row: np.ndarray, k: int) -> np.ndarray:
-    """Lexicographically smallest mapping of rows 0..k-1 over tight edges.
-
-    ``tight`` must contain a perfect matching (the solver's own solution);
-    rows >= k are padding whose placement is irrelevant to the ordering.
+    ``cost_rows`` and ``cost_cols`` are the negated profits as row lists and
+    as column lists, ``profits`` the profits as row lists. The shorter side
+    of the range is the domain: the rows when there are no more rows than
+    columns in the range, else the columns. Returns ``_lap_min``'s mapping
+    of that domain into the longer side, with range-relative column
+    indices, and the total of the selected profits summed in domain order.
     """
-    n = tight.shape[0]
-    row_to_col = init_col_of_row.astype(np.intp).copy()
-    col_to_row = np.empty(n, dtype=np.intp)
-    col_to_row[row_to_col] = np.arange(n, dtype=np.intp)
-    fixed_col = np.zeros(n, dtype=bool)
-    for i in range(k):
-        chosen = -1
-        for j in map(int, np.flatnonzero(tight[i])):
-            if fixed_col[j]:
-                continue
-            if row_to_col[i] == j:
-                chosen = j
-                break
-            # Steer row i onto column j and re-home the displaced row; the
-            # matching is perfect here, so column j always has an owner.
-            old_col = int(row_to_col[i])
-            owner = int(col_to_row[j])
-            row_to_col[i] = j
-            col_to_row[j] = i
-            col_to_row[old_col] = -1
-            row_to_col[owner] = -1
-            visited = np.zeros(n, dtype=bool)
-            visited[j] = True
-            if _augment(owner, tight, row_to_col, col_to_row, fixed_col, visited):
-                chosen = j
-                break
-            # revert
-            row_to_col[owner] = j
-            row_to_col[i] = old_col
-            col_to_row[j] = owner
-            col_to_row[old_col] = i
-        if chosen < 0:  # unreachable: the incumbent column is always available
-            raise AssertionError("tight graph lost its perfect matching")
-        fixed_col[chosen] = True
-    return row_to_col[:k]
+    total = 0.0
+    if len(profits) <= end - start:
+        mapping, _, _ = _lap_min([row[start:end] for row in cost_rows])
+        for i, j in enumerate(mapping):
+            total += profits[i][start + j]
+    else:
+        mapping, _, _ = _lap_min(cost_cols[start:end])
+        for j, i in enumerate(mapping, start):
+            total += profits[i][j]
+    return mapping, _checked_total(total)
 
 
-def _oriented(P: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The profits with the shorter side as rows, and whether that transposed them."""
-    transposed = P.shape[0] > P.shape[1]
-    return (P.T if transposed else P), transposed
+def _cost_lists(P: np.ndarray):
+    """The row lists and column lists of the negated profits, and the profits' row lists."""
+    cost = -P
+    return cost.tolist(), cost.T.tolist(), P.tolist()
 
 
 def block_assignment_values(block, ranges) -> list[float]:
@@ -245,32 +208,16 @@ def block_assignment_values(block, ranges) -> list[float]:
     for a block that :func:`solve_max_assignment` would reject, and
     :class:`NumericError` for a total outside float64 range.
     """
-    P = _validate_profits(block)
-    cost = -P
-    cost_rows = cost.tolist()
-    cost_cols = cost.T.tolist()
-    profits = P.tolist()
-    k = len(profits)
-    totals = []
-    for start, end in ranges:
-        total = 0.0
-        if k <= end - start:
-            col_of_row, _, _ = _lap_min([row[start:end] for row in cost_rows])
-            for i, j in enumerate(col_of_row):
-                total += profits[i][start + j]
-        else:
-            row_of_col, _, _ = _lap_min(cost_cols[start:end])
-            for j, i in enumerate(row_of_col, start):
-                total += profits[i][j]
-        totals.append(_checked_total(total))
-    return totals
+    lists = _cost_lists(_validate_profits(block))
+    return [_solve_range(*lists, start, end)[1] for start, end in ranges]
 
 
 def max_assignment_value(profits) -> float:
     """Total profit of a maximum-profit injection of the shorter side into the longer.
 
-    Equals ``solve_max_assignment(profits).value`` up to float accumulation
-    among tied optima, without building the pairing.
+    Equals ``solve_max_assignment(profits).value`` exactly: both run the
+    same solve and sum the same profits in the same order. No pairing is
+    built.
     """
     P = _validate_profits(profits)
     return block_assignment_values(P, [(0, P.shape[1])])[0]
@@ -279,35 +226,15 @@ def max_assignment_value(profits) -> float:
 def solve_max_assignment(profits) -> Assignment:
     """Maximum-profit injective assignment of the shorter side into the longer.
 
-    The optimal value is exact up to float accumulation; among optimal
-    pairings the lexicographically smallest mapping is selected by a
-    canonicalization pass over the tight-edge graph of the solved problem.
+    The pairing is optimal and deterministic: the same profits always give
+    the same pairing. Which of several equally good pairings is returned is
+    left unspecified.
     """
-    wide, transposed = _oriented(_validate_profits(profits))
-    k, width = wide.shape
-
-    square = np.zeros((width, width))
-    square[:k] = wide
-    top = float(wide.max())
-    cost = top - square
-    col_of_row, u, v = _lap_min(cost.tolist())
-    col_of_row = np.array(col_of_row, dtype=np.intp)
-
-    # Complementary slackness: optimal assignments live on tight edges.
-    slack = cost - np.array(u)[:, None] - np.array(v)[None, :]
-    eps = 1e-11 * max(1.0, top)
-    tight = slack <= eps
-    mapping = _lex_smallest_mapping(tight, col_of_row, k)
-
-    solved = col_of_row[:k]
-    if _selection_value(wide, mapping) < _selection_value(wide, solved) - 1e-13 * max(1.0, top):
-        # Degenerate near-tie slipped into the tight graph; keep the exact
-        # optimum rather than the lexicographic preference.
-        mapping = solved
-    value = _checked_total(_selection_value(wide, mapping))
-
-    pairs = tuple((i, int(j)) for i, j in enumerate(mapping))
-    return Assignment(pairs=pairs, value=value, side="columns" if transposed else "rows")
+    P = _validate_profits(profits)
+    m, n = P.shape
+    mapping, value = _solve_range(*_cost_lists(P), 0, n)
+    return Assignment(pairs=tuple(enumerate(mapping)), value=value,
+                      side="columns" if m > n else "rows")
 
 
 def brute_force_assignment(profits) -> Assignment:
@@ -315,7 +242,8 @@ def brute_force_assignment(profits) -> Assignment:
 
     Runtime grows factorially; the shorter side is capped at
     ``_ORACLE_MAX_SIDE``. Ties break to the lexicographically smallest
-    mapping, matching :func:`solve_max_assignment`.
+    mapping; that rule is the oracle's own, and :func:`solve_max_assignment`
+    may return a different pairing of the same value.
     """
     P = _validate_profits(profits)
     m, n = P.shape

@@ -23,7 +23,7 @@ def symmetric_array(values) -> np.ndarray:
     # always copy: containers freeze their storage, callers keep theirs writable
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"matrix entries must be numbers in equal-length rows: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"expected a square matrix, got shape {arr.shape}")
@@ -134,6 +134,8 @@ def matrix_from_json_obj(obj) -> GramMatrix:
     labels = obj.get("labels")
     if labels is None:
         labels = default_labels(symmetric_array(values).shape[0])
+    elif not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+        raise InputError('matrix "labels" must be a list of strings')
     return GramMatrix(tuple(labels), values)
 
 
@@ -142,7 +144,7 @@ def load_matrix(path: str | Path) -> GramMatrix:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if path.suffix == ".json":
         return matrix_from_json_obj(loads_json(text))

@@ -266,16 +266,54 @@ BAD_DATASETS = {
         "base_kernel": {"type": "table", "labels": ["a", "b"], "values": [[1, -0.5], [-0.5, 1]]},
         "tuples": [{"elements": ["a"]}, {"elements": ["b"]}],
     },
+    "string gamma": {
+        "base_kernel": {"type": "rbf", "gamma": "x"},
+        "tuples": [{"elements": [[0.0]]}],
+    },
+    "list gamma": {
+        "base_kernel": {"type": "rbf", "gamma": [1]},
+        "tuples": [{"elements": [[0.0]]}],
+    },
+    "string coordinate": {
+        "base_kernel": {"type": "rbf", "gamma": 1.0},
+        "tuples": [{"elements": [[0.0, "a"]]}],
+    },
+    "number as table labels": {
+        "base_kernel": {"type": "table", "labels": 5, "values": [[1]]},
+        "tuples": [{"elements": ["a"]}],
+    },
+    "string as table labels": {
+        "base_kernel": {"type": "table", "labels": "ab", "values": [[1, 0], [0, 1]]},
+        "tuples": [{"elements": ["a"]}],
+    },
+    "string table entry": {
+        "base_kernel": {"type": "table", "labels": ["a"], "values": [["x"]]},
+        "tuples": [{"elements": ["a"]}],
+    },
+}
+
+# malformed fields: the dataset itself is rejected, before any kernel value
+REJECTED_AT_PARSE = {
+    "string gamma",
+    "list gamma",
+    "string coordinate",
+    "number as table labels",
+    "string as table labels",
+    "string table entry",
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_DATASETS))
 def test_gram_input_errors(name, tmp_path, capsys):
-    base, tuples = parse_tuple_dataset(BAD_DATASETS[name])
-    with pytest.raises(InputError):
-        gram_matrix(tuples, base)
-    with pytest.raises(InputError):
-        assignment_kernel(tuples[0], tuples[-1], base)
+    if name in REJECTED_AT_PARSE:
+        with pytest.raises(InputError):
+            parse_tuple_dataset(BAD_DATASETS[name])
+    else:
+        base, tuples = parse_tuple_dataset(BAD_DATASETS[name])
+        with pytest.raises(InputError):
+            gram_matrix(tuples, base)
+        with pytest.raises(InputError):
+            assignment_kernel(tuples[0], tuples[-1], base)
 
     path = tmp_path / "bad.json"
     path.write_text(dumps_json(BAD_DATASETS[name]), encoding="utf-8")

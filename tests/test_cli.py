@@ -207,15 +207,32 @@ def test_parse_error_on_bad_matrix_file(tmp_path, capsys):
     notjson.write_text("{", encoding="utf-8")
     assert run_cli("spectrum", "--input", notjson) == 1
 
-    # ragged rows and non-numeric entries: one error line, not a traceback
-    for values in ([[1.0, 2.0], [3.0]], [["a"]], [[{}]]):
+    # ragged rows, non-numeric entries and malformed labels: one error line, not a traceback
+    for doc in (
+        {"values": [[1.0, 2.0], [3.0]]},
+        {"values": [["a"]]},
+        {"values": [[{}]]},
+        {"values": [[10**400]]},
+        {"labels": 5, "values": [[1.0]]},
+        {"labels": "ab", "values": [[1.0, 0.0], [0.0, 1.0]]},
+        {"labels": [None], "values": [[1.0]]},
+        {"labels": ["a", "b"], "values": [[1.0]]},
+    ):
         notnumbers = tmp_path / "values.json"
-        notnumbers.write_text(dumps_json({"values": values}), encoding="utf-8")
+        notnumbers.write_text(dumps_json(doc), encoding="utf-8")
         capsys.readouterr()
         for command in ("spectrum", "repair"):
             assert run_cli(command, "--input", notnumbers) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    # a file that is not UTF-8, for every command that reads one
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for command in ("spectrum", "repair", "gram"):
+        assert run_cli(command, "--input", binary) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 TOL_COMMANDS = {

@@ -40,6 +40,18 @@ def selected_sum(P, assignment: Assignment):
     return total
 
 
+def assert_optimal_pairing(P, assignment: Assignment, tol=0.0):
+    """The pairing injects the shorter side and its profits reach the oracle's optimum."""
+    P = np.asarray(P, dtype=float)
+    oracle = brute_force_assignment(P)
+    assert assignment.side == oracle.side
+    assert [small for small, _ in assignment.pairs] == list(range(min(P.shape)))
+    image = [large for _, large in assignment.pairs]
+    assert len(set(image)) == len(image)
+    assert all(0 <= j < max(P.shape) for j in image)
+    assert abs(selected_sum(P, assignment) - oracle.value) <= tol
+
+
 def test_single_cell():
     asg = solve_max_assignment([[5.0]])
     assert asg.value == 5.0
@@ -83,12 +95,15 @@ def test_fixture_3x5_hand_enumerated_optimum():
     assert brute_force_assignment(P).pairs == asg.pairs
 
 
-def test_lexicographic_tie_break_on_constant_matrices():
-    assert solve_max_assignment(np.ones((3, 3))).pairs == ((0, 0), (1, 1), (2, 2))
-    assert solve_max_assignment(np.ones((2, 4))).pairs == ((0, 0), (1, 1))
-    wide = solve_max_assignment(np.ones((4, 2)))
-    assert wide.side == "columns"
-    assert wide.pairs == ((0, 0), (1, 1))
+def test_constant_matrices_pairings_are_optimal_and_deterministic():
+    # every pairing ties; any injection is optimal, and repeated calls agree
+    for shape in [(3, 3), (2, 4), (4, 2)]:
+        asg = solve_max_assignment(np.ones(shape))
+        assert_optimal_pairing(np.ones(shape), asg)
+        assert asg.value == min(shape)
+        assert asg == solve_max_assignment(np.ones(shape))
+    assert solve_max_assignment(np.ones((4, 2))).side == "columns"
+    # the oracle keeps its own lexicographic tie rule
     assert brute_force_assignment(np.ones((3, 3))).pairs == ((0, 0), (1, 1), (2, 2))
 
 
@@ -100,17 +115,20 @@ def test_matches_brute_force(P):
     assert abs(asg.value - oracle.value) <= 1e-12
     assert asg.side == oracle.side
     assert asg.value == pytest.approx(selected_sum(P, asg), abs=1e-12)
+    assert asg.value == max_assignment_value(P)
+    assert solve_max_assignment(P.T).value == max_assignment_value(P.T)
+    assert asg == solve_max_assignment(P.copy())
 
 
 @given(profit_matrices(elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
 @settings(max_examples=150)
 def test_exact_ties_agree_with_oracle(P):
-    # dyadic entries make every comparison exact, so the canonicalization
-    # must reproduce the oracle's lexicographic choice bit for bit
+    # dyadic entries make every sum exact, so the pairing's profits must
+    # reach the oracle's optimum bit for bit, whichever tied pairing it is
     asg = solve_max_assignment(P)
     oracle = brute_force_assignment(P)
     assert asg.value == oracle.value
-    assert asg.pairs == oracle.pairs
+    assert_optimal_pairing(P, asg)
     assert max_assignment_value(P) == oracle.value
 
 
@@ -118,6 +136,10 @@ def test_exact_ties_agree_with_oracle(P):
 @settings(max_examples=150)
 def test_value_path_matches_oracle(P):
     assert abs(max_assignment_value(P) - brute_force_assignment(P).value) <= 1e-12
+    asg = solve_max_assignment(P)
+    assert asg.value == max_assignment_value(P)
+    assert solve_max_assignment(P.T).value == max_assignment_value(P.T)
+    assert asg == solve_max_assignment(P.copy())
 
 
 def test_overflowing_total_rejected():
@@ -195,7 +217,7 @@ def test_seeded_rectangular_corpus():
         asg = solve_max_assignment(P)
         oracle = brute_force_assignment(P)
         assert abs(asg.value - oracle.value) <= 1e-12
-        assert asg.pairs == oracle.pairs
+        assert_optimal_pairing(P, asg, 1e-12)
 
 
 # ------------------------------------------------ the solver core's duals
@@ -231,7 +253,7 @@ def test_core_duals_on_random_costs(P):
 def test_core_duals_on_dyadic_ties(P):
     # dyadic entries keep every potential exact
     check_core(P, 0.0)
-    assert solve_max_assignment(P).pairs == brute_force_assignment(P).pairs
+    assert_optimal_pairing(P, solve_max_assignment(P))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 7)])
@@ -241,7 +263,7 @@ def test_core_on_equal_rows(shape):
     _, u, v = check_core(P, 0.0)
     assert u == [-1.0] * shape[0]
     assert v == [0.0] * shape[1]
-    assert solve_max_assignment(P).pairs == brute_force_assignment(P).pairs
+    assert_optimal_pairing(P, solve_max_assignment(P))
 
 
 def test_core_on_diagonal_dominant_rows():
@@ -254,7 +276,7 @@ def test_core_on_diagonal_dominant_rows():
     assert col_of_row == [0, 1, 2, 3]
     assert u == [-4.0, -3.0, -5.0, -2.5]
     assert v == [0.0] * 5
-    assert solve_max_assignment(P).pairs == brute_force_assignment(P).pairs
+    assert_optimal_pairing(P, solve_max_assignment(P))
 
 
 @given(profit_matrices(max_rows=4, max_cols=12), st.randoms(use_true_random=False))
