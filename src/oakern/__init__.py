@@ -30,20 +30,14 @@ from .counterexample import (
     sweep_to_csv,
     verify_min_kernel_psd,
 )
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    InputError,
-    NumericError,
-    OakernError,
-)
+from .errors import ConsistencyError, InputError, NumericError, OakernError
 from .hungarian import (
     Assignment,
     brute_force_assignment,
     max_assignment_value,
     solve_max_assignment,
 )
-from .matrices import DistanceMatrix, GramMatrix, load_matrix, save_matrix
+from .matrices import DistanceMatrix, GramMatrix, load_matrix
 from .spectral import (
     DEFAULT_TOL,
     PsdVerdict,

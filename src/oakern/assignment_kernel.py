@@ -25,7 +25,6 @@ import numpy as np
 from .base_kernel import (
     BaseKernel,
     Element,
-    Point,
     as_point,
     kernel_block,
     parse_base_kernel,
@@ -86,20 +85,10 @@ def gram_matrix(tuples: Sequence[TupleObject], base: BaseKernel) -> GramMatrix:
     return GramMatrix(gram_labels(tuples), values)
 
 
-def _parse_element(obj) -> Element:
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return Point(tuple(obj))
-    raise InputError(
-        f"tuple element must be a coordinate list or a label string, got {obj!r}"
-    )
-
-
 def parse_tuple_dataset(obj) -> tuple[BaseKernel, tuple[TupleObject, ...]]:
     """Parse ``{"base_kernel": {...}, "tuples": [{"label": ..., "elements": [...]}]}``.
 
-    Labels are optional; missing ones are filled in as "t0", "t1", ...
+    A tuple's label is a string; an absent or null one is filled in as "t0", "t1", ...
     """
     if not isinstance(obj, dict):
         raise InputError("dataset must be a JSON object")
@@ -116,12 +105,12 @@ def parse_tuple_dataset(obj) -> tuple[BaseKernel, tuple[TupleObject, ...]]:
         elements = entry["elements"]
         if not isinstance(elements, list):
             raise InputError(f'tuple #{i}: "elements" must be a list')
-        parsed.append(
-            TupleObject(
-                elements=tuple(_parse_element(e) for e in elements),
-                label=str(entry.get("label", f"t{i}")),
-            )
-        )
+        label = entry.get("label")
+        if label is None:
+            label = f"t{i}"
+        elif not isinstance(label, str):
+            raise InputError(f'tuple #{i}: "label" must be a string, got {label!r}')
+        parsed.append(TupleObject(elements=tuple(elements), label=label))
     return base, tuple(parsed)
 
 

@@ -5,10 +5,13 @@ on real vectors, and a lookup table on a finite label set. A table copies
 its upper triangle over the lower one, so symmetry of ``eval_base`` is
 structural. The
 degenerate single-element base set is the table ``{("1","1"): 1}``.
+Numbers and label lists are checked by the rules in ``serialize``, a table
+by the symmetric-matrix rule in ``matrices``.
 
 ``eval_base`` evaluates one pair of elements. Profit matrices are built in
-blocks instead: ``stack_elements`` validates a run of elements once and
-packs them into one array (coordinates for RBF, label codes for a table),
+blocks instead: ``stack_elements`` checks a run of tuple elements against
+the kernel once and packs them into one array (coordinates for RBF, label
+codes for a table),
 and ``kernel_block`` evaluates every pair between two such stacks in one
 array operation.
 """
@@ -16,25 +19,15 @@ array operation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-
-
-def _real_number(value, what: str) -> float:
-    """``value`` as a float; anything but a real number (a bool or a string included) is an InputError."""
-    # plain int and float, all that JSON numbers parse to, skip the slower abstract-class check
-    if type(value) not in (float, int):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InputError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InputError(f"{what} {value!r} is outside float64 range") from None
+from .errors import InputError
+from .matrices import symmetric_array
+from .serialize import real_number, string_list
+from .spectral import jacobi_eigen
 
 
 @dataclass(frozen=True)
@@ -44,7 +37,7 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        coords = tuple(_real_number(c, "a coordinate") for c in self.coords)
+        coords = tuple(real_number(c, "a coordinate") for c in self.coords)
         if not coords:
             raise InputError("a point needs at least one coordinate")
         if not all(math.isfinite(c) for c in coords):
@@ -85,18 +78,19 @@ class RBFKernel:
     gamma: float
 
     def __post_init__(self):
-        gamma = float(self.gamma)
+        gamma = real_number(self.gamma, "gamma")
         if not math.isfinite(gamma) or gamma <= 0.0:
-            raise ConfigError(f"gamma must be a positive finite real, got {gamma!r}")
+            raise InputError(f"gamma must be a positive finite real, got {gamma!r}")
         object.__setattr__(self, "gamma", gamma)
 
 
 class TableKernel:
     """Kernel given by an explicit symmetric table over a finite label set.
 
-    The constructor checks shape, finiteness and exact symmetry, then copies
-    the upper triangle over the lower one, so both argument orders read the
-    same stored value (a signed zero included).
+    The table passes the symmetric-matrix rule of
+    :func:`~oakern.matrices.symmetric_array` and needs one row per unique
+    label. The upper triangle is then copied over the lower one, so both
+    argument orders read the same stored value (a signed zero included).
     Value-domain problems (negative entries) are representable on purpose so
     that :func:`validate_base` can flag them.
     """
@@ -105,21 +99,12 @@ class TableKernel:
 
     def __init__(self, labels: Sequence[str], values) -> None:
         labels = tuple(str(l) for l in labels)
-        if not labels:
-            raise ConfigError("table kernel needs at least one label")
         if len(set(labels)) != len(labels):
-            raise ConfigError("table labels must be unique")
-        try:
-            arr = np.array(values, dtype=float)  # a copy: mirrored and frozen below
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"table entries must be numbers in equal-length rows: {exc}") from exc
+            raise InputError("table labels must be unique")
+        arr = symmetric_array(values, "table")  # a copy: mirrored and frozen below
         n = len(labels)
-        if arr.shape != (n, n):
-            raise ConfigError(f"table shape {arr.shape} does not match {n} labels")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("table contains non-finite entries")
-        if not np.array_equal(arr, arr.T):
-            raise ConfigError("table is not exactly symmetric")
+        if arr.shape[0] != n:
+            raise InputError(f"table shape {arr.shape} does not match {n} labels")
         self.labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
         upper = np.triu_indices(n, 1)
@@ -133,9 +118,6 @@ class TableKernel:
         except KeyError as exc:
             raise InputError(f"unknown table label {exc.args[0]!r}") from None
         return float(self._dense[i, j])
-
-    def matrix(self) -> np.ndarray:
-        return self._dense.copy()
 
     def __eq__(self, other):
         return (
@@ -169,22 +151,20 @@ def eval_base(spec: BaseKernel, u, v) -> float:
     raise InputError(f"unknown base kernel spec {spec!r}")
 
 
-def stack_elements(spec: BaseKernel, elements: Sequence) -> np.ndarray:
-    """Validate elements for ``spec`` and pack them into one array.
+def stack_elements(spec: BaseKernel, elements: Sequence[Element]) -> np.ndarray:
+    """Check tuple elements (points or labels) against ``spec`` and pack them into one array.
 
     RBF elements become an (N, d) float array of coordinates, all of one
     dimension; table elements become an (N,) array of label codes.
     """
     if isinstance(spec, RBFKernel):
-        points = []
-        for e in elements:
-            if isinstance(e, str):
-                raise InputError(f"rbf kernels take coordinate elements, got label {e!r}")
-            points.append(as_point(e))
-        dims = sorted({p.dim for p in points})
+        labels = [e for e in elements if isinstance(e, str)]
+        if labels:
+            raise InputError(f"rbf kernels take coordinate elements, got label {labels[0]!r}")
+        dims = sorted({p.dim for p in elements})
         if len(dims) > 1:
             raise InputError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
-        return np.array([p.coords for p in points], dtype=float)
+        return np.array([p.coords for p in elements], dtype=float)
     if isinstance(spec, TableKernel):
         if not all(isinstance(e, str) for e in elements):
             raise InputError("table kernels take label arguments")
@@ -221,18 +201,18 @@ class BaseValidation:
 
     symmetry_violations: tuple[tuple[int, int, float, float], ...]
     negative_values: tuple[tuple[int, int, float], ...]
-    min_eigenvalue: float | None
+    min_eigenvalue: float
 
     @property
     def passed(self) -> bool:
         return not self.symmetry_violations and not self.negative_values
 
 
-def validate_base(spec: BaseKernel, sample: Sequence, include_spectrum: bool = True) -> BaseValidation:
+def validate_base(spec: BaseKernel, sample: Sequence) -> BaseValidation:
     """Check symmetry and nonnegativity of the base kernel on a sample.
 
-    The minimum eigenvalue of the base Gram matrix is reported when
-    ``include_spectrum`` is set, as diagnostics only; nothing is gated on it.
+    The minimum eigenvalue of the base Gram matrix is reported as
+    diagnostics only; nothing is gated on it.
     """
     if not sample:
         raise InputError("validation sample must be non-empty")
@@ -249,12 +229,7 @@ def validate_base(spec: BaseKernel, sample: Sequence, include_spectrum: bool = T
             if kij < 0.0:
                 negatives.append((i, j, kij))
             gram[i, j] = gram[j, i] = kij
-    min_eig = None
-    if include_spectrum:
-        from .spectral import jacobi_eigen
-
-        min_eig = jacobi_eigen(gram).min_eigenvalue
-    return BaseValidation(tuple(symmetry), tuple(negatives), min_eig)
+    return BaseValidation(tuple(symmetry), tuple(negatives), jacobi_eigen(gram).min_eigenvalue)
 
 
 def parse_base_kernel(obj) -> BaseKernel:
@@ -265,31 +240,12 @@ def parse_base_kernel(obj) -> BaseKernel:
     if kind == "rbf":
         if "gamma" not in obj:
             raise InputError('rbf base kernel needs a "gamma" field')
-        return RBFKernel(_real_number(obj["gamma"], "gamma"))
+        return RBFKernel(obj["gamma"])
     if kind == "constant_one":
         return constant_one()
     if kind == "table":
         if "labels" not in obj or "values" not in obj:
             raise InputError('table base kernel needs "labels" and "values" fields')
-        labels = obj["labels"]
-        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-            raise InputError('table "labels" must be a list of strings')
-        try:
-            return TableKernel(labels, obj["values"])
-        except ConfigError as exc:
-            raise InputError(str(exc)) from exc
+        return TableKernel(string_list(obj["labels"], 'table "labels"'), obj["values"])
     raise InputError(f"unknown base kernel type {kind!r}")
 
-
-def base_kernel_to_json_obj(spec: BaseKernel) -> dict:
-    if isinstance(spec, RBFKernel):
-        return {"type": "rbf", "gamma": spec.gamma}
-    if isinstance(spec, TableKernel):
-        if spec == constant_one():
-            return {"type": "constant_one"}
-        return {
-            "type": "table",
-            "labels": list(spec.labels),
-            "values": [list(map(float, row)) for row in spec.matrix()],
-        }
-    raise InputError(f"unknown base kernel spec {spec!r}")

@@ -22,7 +22,7 @@ from .counterexample import (
     sweep_to_csv,
     verify_min_kernel_psd,
 )
-from .errors import ConfigError, ConsistencyError, InputError, NumericError
+from .errors import ConsistencyError, InputError, NumericError
 from .matrices import load_matrix, matrix_to_text
 from .serialize import dumps_json
 from .spectral import DEFAULT_TOL, jacobi_eigen, psd_check, psd_project_clip, spectrum_to_json_obj
@@ -176,10 +176,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return _dispatch(args)
-    except (InputError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:

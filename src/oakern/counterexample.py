@@ -24,14 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .assignment_kernel import TupleObject, gram_matrix
-from .base_kernel import (
-    Point,
-    RBFKernel,
-    SINGLETON_LABEL,
-    base_kernel_to_json_obj,
-    constant_one,
-)
-from .errors import ConfigError, ConsistencyError, InputError
+from .base_kernel import Point, RBFKernel, SINGLETON_LABEL, constant_one
+from .errors import ConsistencyError, InputError
 from .matrices import GramMatrix
 from .serialize import format_float
 from .spectral import (
@@ -91,41 +85,21 @@ class SquareConfig:
             for p in self.pair_order
         )
 
-    def dataset(self) -> dict:
-        """Tuple-dataset JSON object reproducing this configuration."""
-        return {
-            "base_kernel": base_kernel_to_json_obj(self.base()),
-            "tuples": [
-                {"label": t.label, "elements": [list(e.coords) for e in t.elements]}
-                for t in self.tuples()
-            ],
-        }
-
 
 def build_square_config(gamma: float) -> SquareConfig:
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise ConfigError(f"gamma must be a positive finite real, got {gamma!r}")
+    gamma = RBFKernel(gamma).gamma
     return SquareConfig(gamma=gamma, a=math.exp(-gamma), points=dict(SQUARE_POINTS))
 
 
 def expected_gram_closed_form(gamma: float) -> GramMatrix:
     """Closed-form 6x6 Gram matrix: diagonal 2, off-diagonal 1+a, 1+a^2 or 2a."""
     a = build_square_config(gamma).a
-    classes: dict[frozenset, float] = {}
-    for pair in _ONE_PLUS_A:
-        classes[frozenset(pair)] = 1.0 + a
-    for pair in _ONE_PLUS_A_SQ:
-        classes[frozenset(pair)] = 1.0 + a * a
-    for pair in _TWO_A:
-        classes[frozenset(pair)] = 2.0 * a
-
-    def entry(i: int, j: int) -> float:
-        if i == j:
-            return 2.0
-        return classes[frozenset((PAIR_ORDER[i], PAIR_ORDER[j]))]
-
-    return GramMatrix.from_triangle(PAIR_ORDER, entry)
+    values = np.full((6, 6), 2.0)
+    for pairs, value in ((_ONE_PLUS_A, 1.0 + a), (_ONE_PLUS_A_SQ, 1.0 + a * a), (_TWO_A, 2.0 * a)):
+        for p, q in pairs:
+            i, j = PAIR_ORDER.index(p), PAIR_ORDER.index(q)
+            values[i, j] = values[j, i] = value
+    return GramMatrix(PAIR_ORDER, values)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules: four classes, a base and three kinds.
 
-The CLI maps these onto its exit codes, so every raise site should pick
-the class that matches how a caller must react, not where the code lives.
+The CLI maps the three kinds onto exit codes 1, 2 and 3, so every raise
+site should pick the class that matches how a caller must react, not
+where the code lives.
 """
 
 
@@ -10,11 +11,7 @@ class OakernError(Exception):
 
 
 class InputError(OakernError, ValueError):
-    """Malformed or out-of-domain input data (bad matrix, unknown label, ...)."""
-
-
-class ConfigError(OakernError, ValueError):
-    """Invalid configuration value, e.g. a non-positive RBF width."""
+    """Malformed or out-of-domain input: a bad file, matrix, label or parameter."""
 
 
 class NumericError(OakernError, RuntimeError):

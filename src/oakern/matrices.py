@@ -4,35 +4,47 @@ Gram matrices are symmetric by construction: assembly fills one triangle
 and mirrors it, so the symmetry invariant is structural rather than a
 numerical afterthought. Files come in two flavors, JSON with labels
 (``{"labels": [...], "values": [[...]]}``) and header-free row-major CSV.
+
+``symmetric_array`` owns the symmetric-matrix rule: every matrix the
+package takes in, a Gram matrix file or a base kernel's table, passes
+through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .serialize import dumps_json, loads_json, matrix_from_csv, matrix_to_csv
+from .serialize import dumps_json, loads_json, matrix_from_csv, matrix_to_csv, real_number, string_list
 
 
-def symmetric_array(values) -> np.ndarray:
-    """A float copy of ``values``, checked square, non-empty, finite and exactly symmetric."""
+def symmetric_array(values, what: str = "matrix") -> np.ndarray:
+    """A float copy of ``values``, checked square, non-empty, finite and exactly symmetric.
+
+    Rows given as lists, as read from JSON, must hold numbers by :func:`real_number`'s rule.
+    ``what`` names the matrix in error messages.
+    """
+    if isinstance(values, list):
+        values = [
+            [real_number(x, f"a {what} entry") for x in row] if isinstance(row, list) else row
+            for row in values
+        ]
     # always copy: containers freeze their storage, callers keep theirs writable
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"matrix entries must be numbers in equal-length rows: {exc}") from exc
+        raise InputError(f"{what} entries must be numbers in equal-length rows: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {arr.shape}")
+        raise InputError(f"expected a square {what}, got shape {arr.shape}")
     if arr.shape[0] == 0:
-        raise InputError("empty matrix")
+        raise InputError(f"empty {what}")
     if not np.all(np.isfinite(arr)):
-        raise InputError("matrix contains non-finite entries")
+        raise InputError(f"{what} contains non-finite entries")
     if not np.array_equal(arr, arr.T):
-        raise InputError("matrix is not exactly symmetric")
+        raise InputError(f"{what} is not exactly symmetric")
     return arr
 
 
@@ -52,22 +64,6 @@ class GramMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_triangle(cls, labels: Sequence[str], entry: Callable[[int, int], float]) -> "GramMatrix":
-        """Build from ``entry(i, j)`` evaluated only for i <= j, mirrored exactly."""
-        n = len(labels)
-        arr = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                value = float(entry(i, j))
-                arr[i, j] = value
-                arr[j, i] = value
-        return cls(tuple(labels), arr)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
 
     def index_of(self, label: str) -> int:
         try:
@@ -111,8 +107,8 @@ class DistanceMatrix:
         return float(self.squared[self.index_of(a), self.index_of(b)])
 
 
-def default_labels(n: int, prefix: str = "m") -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}" for i in range(n))
+def default_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"m{i}" for i in range(n))
 
 
 def matrix_to_text(gram: GramMatrix, fmt: str) -> str:
@@ -123,20 +119,13 @@ def matrix_to_text(gram: GramMatrix, fmt: str) -> str:
     raise InputError(f"unknown matrix format {fmt!r}")
 
 
-def save_matrix(gram: GramMatrix, path: str | Path, fmt: str) -> None:
-    Path(path).write_text(matrix_to_text(gram, fmt), encoding="utf-8")
-
-
 def matrix_from_json_obj(obj) -> GramMatrix:
     if not isinstance(obj, dict) or "values" not in obj:
         raise InputError('matrix JSON must be an object with a "values" field')
-    values = obj["values"]
+    values = symmetric_array(obj["values"])
     labels = obj.get("labels")
-    if labels is None:
-        labels = default_labels(symmetric_array(values).shape[0])
-    elif not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-        raise InputError('matrix "labels" must be a list of strings')
-    return GramMatrix(tuple(labels), values)
+    labels = default_labels(len(values)) if labels is None else string_list(labels, 'matrix "labels"')
+    return GramMatrix(labels, values)
 
 
 def load_matrix(path: str | Path) -> GramMatrix:

@@ -1,17 +1,45 @@
-"""Deterministic serialization helpers.
+"""Deterministic serialization and the rules for values read from files.
 
 All floats are written with 17 significant digits, which round-trips any
 binary64 value exactly, so piping artifacts between commands never loses
 precision and identical inputs always produce byte-identical files.
+
+Reading owns two input rules that every parser calls: ``real_number``
+decides what counts as a number (gamma, coordinates, matrix, table and CSV
+entries) and ``string_list`` what counts as a list of labels.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Any
 
+import numpy as np
+
 from .errors import InputError
+
+_INDENT = 2
+
+
+def real_number(value, what: str) -> float:
+    """``value`` as a float; anything but a real number (a bool or a string included) is an InputError."""
+    # plain int and float, all that JSON numbers parse to, skip the slower abstract-class check
+    if type(value) not in (float, int):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{what} {value!r} is outside float64 range") from None
+
+
+def string_list(value, what: str) -> tuple[str, ...]:
+    """``value`` as a tuple of strings; anything but a list of strings is an InputError."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputError(f"{what} must be a list of strings")
+    return tuple(value)
 
 
 def format_float(x: float) -> str:
@@ -22,7 +50,7 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
+def dumps_json(obj: Any) -> str:
     """Serialize nested dict/list/scalar data to JSON text.
 
     Unlike :func:`json.dumps` this pins float formatting to 17 significant
@@ -30,12 +58,12 @@ def dumps_json(obj: Any, indent: int = 2) -> str:
     documents in a fixed order, so output is byte-stable.
     """
     pieces: list[str] = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
+def _write(obj: Any, out: list[str], level: int) -> None:
     if isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -47,19 +75,19 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
-        _write_container(obj.items(), out, indent, level, "{", "}", keyed=True)
+        _write_container(obj.items(), out, level, "{", "}", keyed=True)
     elif isinstance(obj, (list, tuple)):
-        _write_container(obj, out, indent, level, "[", "]", keyed=False)
+        _write_container(obj, out, level, "[", "]", keyed=False)
     else:
         raise TypeError(f"unsupported JSON value of type {type(obj).__name__}")
 
 
-def _write_container(items, out, indent, level, open_ch, close_ch, keyed):
+def _write_container(items, out, level, open_ch, close_ch, keyed):
     items = list(items)
     if not items:
         out.append(open_ch + close_ch)
         return
-    pad = " " * (indent * (level + 1))
+    pad = " " * (_INDENT * (level + 1))
     out.append(open_ch)
     for pos, item in enumerate(items):
         out.append(",\n" if pos else "\n")
@@ -70,16 +98,16 @@ def _write_container(items, out, indent, level, open_ch, close_ch, keyed):
                 raise TypeError("JSON object keys must be strings")
             out.append(json.dumps(key))
             out.append(": ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
         else:
-            _write(item, out, indent, level + 1)
-    out.append("\n" + " " * (indent * level) + close_ch)
+            _write(item, out, level + 1)
+    out.append("\n" + " " * (_INDENT * level) + close_ch)
 
 
 def loads_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
@@ -89,18 +117,21 @@ def matrix_to_csv(values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_csv(text: str) -> list[list[float]]:
+def matrix_from_csv(text: str) -> np.ndarray:
+    """Row-major, header-free CSV whose cells are JSON number literals."""
     rows: list[list[float]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        # a row parses as a JSON array of numbers iff each cell is one number literal
         try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise InputError(f"bad CSV cell on line {lineno}: {exc}") from exc
+            cells = json.loads(f"[{line}]")
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"bad CSV cell on line {lineno}: cells must be JSON numbers") from exc
+        rows.append([real_number(cell, f"CSV cell on line {lineno}") for cell in cells])
     if not rows:
         raise InputError("empty CSV matrix")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise InputError("ragged CSV matrix")
-    return rows
+    return np.array(rows)

@@ -151,10 +151,11 @@ def test_parse_dataset_round_trip():
 def test_parse_dataset_with_labels():
     obj = {
         "base_kernel": {"type": "constant_one"},
-        "tuples": [{"elements": ["1", "1", "1"]}],
+        "tuples": [{"elements": ["1", "1", "1"]}, {"label": None, "elements": ["1"]}],
     }
     base, tuples = parse_tuple_dataset(obj)
     assert assignment_kernel(tuples[0], tuples[0], base) == 3.0
+    assert [t.label for t in tuples] == ["t0", "t1"]
 
 
 @pytest.mark.parametrize(
@@ -290,6 +291,18 @@ BAD_DATASETS = {
         "base_kernel": {"type": "table", "labels": ["a"], "values": [["x"]]},
         "tuples": [{"elements": ["a"]}],
     },
+    "bool table entry": {
+        "base_kernel": {"type": "table", "labels": ["a"], "values": [[True]]},
+        "tuples": [{"elements": ["a"]}],
+    },
+    "numeric string table entry": {
+        "base_kernel": {"type": "table", "labels": ["a"], "values": [["2"]]},
+        "tuples": [{"elements": ["a"]}],
+    },
+    "number as tuple label": {
+        "base_kernel": {"type": "constant_one"},
+        "tuples": [{"label": 5, "elements": ["1"]}],
+    },
 }
 
 # malformed fields: the dataset itself is rejected, before any kernel value
@@ -300,6 +313,9 @@ REJECTED_AT_PARSE = {
     "number as table labels",
     "string as table labels",
     "string table entry",
+    "bool table entry",
+    "numeric string table entry",
+    "number as tuple label",
 }
 
 

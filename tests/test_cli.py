@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, file formats and determinism."""
 
+import math
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,12 @@ from oakern.serialize import dumps_json, loads_json, matrix_to_csv
 @pytest.fixture
 def square_dataset(tmp_path):
     path = tmp_path / "square.json"
-    path.write_text(dumps_json(build_square_config(1.0).dataset()), encoding="utf-8")
+    tuples = [
+        {"label": t.label, "elements": [list(e.coords) for e in t.elements]}
+        for t in build_square_config(1.0).tuples()
+    ]
+    dataset = {"base_kernel": {"type": "rbf", "gamma": 1.0}, "tuples": tuples}
+    path.write_text(dumps_json(dataset), encoding="utf-8")
     return path
 
 
@@ -107,10 +113,15 @@ def test_repair_of_tiny_indefinite_matrix_passes_spectrum(tmp_path):
     assert loads_json(spec.read_text(encoding="utf-8"))["psd"] is True
 
 
-def readme_reproduction_commands() -> list[list[str]]:
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under the README's ``## heading``."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Reproduce the study", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    section = readme.split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_reproduction_commands() -> list[list[str]]:
+    block = readme_block("Reproduce the study", "sh")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("oakern ")]
 
 
@@ -122,6 +133,16 @@ def test_readme_reproduction_commands_run(tmp_path, monkeypatch):
         assert cli.main(argv) == 0, argv
     for name in ("report.json", "sweep.csv", "min_kernel.json"):
         assert (tmp_path / name).is_file(), name
+
+
+def test_readme_library_example_runs(capsys):
+    exec(readme_block("Library example", "python"), {})
+    printed = capsys.readouterr().out.strip()
+    eigenvalues = [float(w) for w in printed.strip("[]").split()]
+    # the tuples AB and AC share one corner: Gram [[2, 1+a], [1+a, 2]] with a = exp(-1);
+    # numpy prints 8 decimals
+    a = math.exp(-1.0)
+    assert eigenvalues == pytest.approx([3.0 + a, 1.0 - a], abs=1e-8)
 
 
 def test_sweep_command(tmp_path):
@@ -213,6 +234,8 @@ def test_parse_error_on_bad_matrix_file(tmp_path, capsys):
         {"values": [["a"]]},
         {"values": [[{}]]},
         {"values": [[10**400]]},
+        {"values": [["1.5"]]},
+        {"values": [[True, 0], [0, True]]},
         {"labels": 5, "values": [[1.0]]},
         {"labels": "ab", "values": [[1.0, 0.0], [0.0, 1.0]]},
         {"labels": [None], "values": [[1.0]]},
@@ -223,6 +246,20 @@ def test_parse_error_on_bad_matrix_file(tmp_path, capsys):
         capsys.readouterr()
         for command in ("spectrum", "repair"):
             assert run_cli(command, "--input", notnumbers) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    # cells that are not JSON number literals, and JSON nested or sized past what the parser takes
+    for name, text in (
+        ("underscore.csv", "1,1_0\n1_0,1\n"),
+        ("bool.csv", "true\n"),
+        ("deep.json", "[" * 100000),
+        ("digits.json", '{"values": [[' + "1" * 5000 + "]]}"),
+    ):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        for command in ("spectrum", "repair"):
+            assert run_cli(command, "--input", path) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 

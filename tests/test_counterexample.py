@@ -16,7 +16,7 @@ from oakern.counterexample import (
     sweep_to_csv,
     verify_min_kernel_psd,
 )
-from oakern.errors import ConfigError, InputError
+from oakern.errors import InputError
 from oakern.serialize import dumps_json, loads_json
 
 GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0)
@@ -51,7 +51,7 @@ def test_config_accepts_tiny_gamma():
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
 def test_config_rejects_bad_gamma(gamma):
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         build_square_config(gamma)
 
 
@@ -157,7 +157,7 @@ def test_sweep_csv_format():
 def test_sweep_rejects_empty_or_bad_grid():
     with pytest.raises(InputError):
         gamma_sweep([])
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         gamma_sweep([1.0, -2.0])
 
 
@@ -194,10 +194,3 @@ def test_min_kernel_random_multisets(lengths):
     assert verdict.verdict.min_eigenvalue >= -1e-9
     assert verdict.passed
 
-
-def test_dataset_reproduces_config():
-    config = build_square_config(2.0)
-    dataset = config.dataset()
-    assert dataset["base_kernel"] == {"type": "rbf", "gamma": 2.0}
-    assert [t["label"] for t in dataset["tuples"]] == list(PAIR_ORDER)
-    assert dataset["tuples"][0]["elements"] == [[0.0, 0.0], [1.0, 0.0]]

@@ -1,4 +1,4 @@
-"""Malformed input files through the CLI, and failing property tests under this pytest config."""
+"""Malformed input files and flags through the CLI, and failing property tests under this pytest config."""
 
 import contextlib
 import copy
@@ -15,6 +15,8 @@ from oakern import cli
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 ERROR_PREFIXES = ("error: ", "numeric error: ", "consistency error: ")
+# the two documented exit-3 lines of the verdict commands
+VERDICT_LINES = ("counterexample did not refute PSD-ness\n", "min-kernel verdict failed\n")
 
 small_numbers = st.integers(-3, 3) | st.floats(-4.0, 4.0, allow_nan=False)
 junk = st.one_of(
@@ -68,6 +70,52 @@ def matrix_documents(draw):
     return doc
 
 
+# CSV cells: numbers, then text that is not a JSON number literal or not a finite one
+csv_junk = st.text(max_size=3) | st.sampled_from(
+    ["true", "nan", "NaN", "1e999", "1_0", "", " ", "0x1", '"2"', "[1]"]
+)
+
+
+@st.composite
+def csv_documents(draw):
+    n = draw(st.integers(1, 4))
+    rows = [[""] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = repr(draw(small_numbers))
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(csv_junk)
+    ragged = draw(st.sampled_from([None, "short", "long"]))
+    if ragged == "short":
+        rows[draw(st.integers(0, n - 1))].pop()
+    elif ragged == "long":
+        rows[draw(st.integers(0, n - 1))].append(repr(draw(small_numbers)))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+# flag text; a length is at most 50 and a grid has at most 4 values, so no example allocates much
+number_text = st.floats().map(repr) | st.integers(-5, 100).map(str) | st.text(
+    alphabet="0123456789.-+e_naifx ", max_size=6
+)
+length_text = st.integers(-3, 50).map(str) | st.sampled_from(
+    ["", " ", "x", "1.5", "1_0", "+5", "-0", "0x1", "1e1", "nan", "\u0663"]
+)
+
+
+@st.composite
+def flag_argvs(draw):
+    command = draw(st.sampled_from(["counterexample", "sweep", "verify-min-kernel"]))
+    if command == "counterexample":
+        argv = [command, f"--gamma={draw(number_text)}"]
+    elif command == "sweep":
+        argv = [command, "--grid=" + ",".join(draw(st.lists(number_text, max_size=4)))]
+    else:
+        argv = [command, "--lengths=" + ",".join(draw(st.lists(length_text, max_size=8)))]
+    if draw(st.booleans()):
+        argv.append(f"--tol={draw(number_text)}")
+    return argv
+
+
 def paths(doc, prefix=()):
     """Every position in a JSON document, the root included."""
     yield prefix
@@ -94,13 +142,17 @@ def mutated(draw, documents):
     return doc
 
 
-def run_on_file(tmp_path, command, name, doc):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, "--input", str(path), "--output", str(tmp_path / "out")])
+        code = cli.main(argv)
     return code, err.getvalue()
+
+
+def run_on_file(tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return run_cli([command, "--input", str(path), "--output", str(tmp_path / "out")])
 
 
 def assert_clean_outcome(code, err):
@@ -109,7 +161,8 @@ def assert_clean_outcome(code, err):
     if code == 0:
         assert err == ""
     else:
-        assert err.startswith(ERROR_PREFIXES) and err.count("\n") == 1, err
+        assert err.count("\n") == 1, err
+        assert err.startswith(ERROR_PREFIXES) or (code == 3 and err in VERDICT_LINES), err
 
 
 fuzz_settings = settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -118,13 +171,27 @@ fuzz_settings = settings(max_examples=200, suppress_health_check=[HealthCheck.fu
 @given(mutated(st.one_of(rbf_datasets(), table_datasets(), constant_one_datasets)))
 @fuzz_settings
 def test_gram_on_malformed_datasets(tmp_path, doc):
-    assert_clean_outcome(*run_on_file(tmp_path, "gram", "dataset.json", doc))
+    assert_clean_outcome(*run_on_file(tmp_path, "gram", "dataset.json", json.dumps(doc)))
 
 
 @given(mutated(matrix_documents()), st.sampled_from(["spectrum", "repair"]))
 @fuzz_settings
 def test_matrix_commands_on_malformed_files(tmp_path, doc, command):
-    assert_clean_outcome(*run_on_file(tmp_path, command, "matrix.json", doc))
+    assert_clean_outcome(*run_on_file(tmp_path, command, "matrix.json", json.dumps(doc)))
+
+
+@given(csv_documents(), st.sampled_from(["spectrum", "repair"]))
+@fuzz_settings
+def test_matrix_commands_on_malformed_csv(tmp_path, text, command):
+    assert_clean_outcome(*run_on_file(tmp_path, command, "matrix.csv", text))
+
+
+@given(flag_argvs())
+@fuzz_settings
+def test_flag_commands_on_malformed_flags(tmp_path, argv):
+    # exit 3 with a verdict line is a clean outcome: it includes verify-min-kernel's
+    # tol-0 verdict on a PSD Gram whose float eigenvalue dips just below 0
+    assert_clean_outcome(*run_cli(argv + ["--output", str(tmp_path / "out")]))
 
 
 FAILING_PROPERTY = """
