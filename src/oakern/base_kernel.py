@@ -6,7 +6,8 @@ its upper triangle over the lower one, so symmetry of ``eval_base`` is
 structural. The
 degenerate single-element base set is the table ``{("1","1"): 1}``.
 Numbers and label lists are checked by the rules in ``serialize``, a table
-by the symmetric-matrix rule in ``matrices``.
+by the symmetric-matrix rule in ``matrices``. A table may hold negative
+entries; they are refused as profits when a Gram matrix is built.
 
 ``eval_base`` evaluates one pair of elements. Profit matrices are built in
 blocks instead: ``stack_elements`` checks a run of tuple elements against
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import InputError
 from .matrices import symmetric_array
 from .serialize import real_number, string_list
-from .spectral import jacobi_eigen
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class TableKernel:
     :func:`~oakern.matrices.symmetric_array` and needs one row per unique
     label. The upper triangle is then copied over the lower one, so both
     argument orders read the same stored value (a signed zero included).
-    Value-domain problems (negative entries) are representable on purpose so
-    that :func:`validate_base` can flag them.
+    Negative entries are representable here; they are refused as profits
+    when a Gram matrix is built.
     """
 
     __slots__ = ("labels", "_index", "_dense")
@@ -193,43 +193,6 @@ def kernel_block(spec: BaseKernel, rows: np.ndarray, cols: np.ndarray) -> np.nda
                 d2 += diff * diff
             return np.exp(-spec.gamma * d2)
     return spec._dense[rows[:, None], cols[None, :]]
-
-
-@dataclass(frozen=True)
-class BaseValidation:
-    """Findings from checking a base kernel on a sample of elements."""
-
-    symmetry_violations: tuple[tuple[int, int, float, float], ...]
-    negative_values: tuple[tuple[int, int, float], ...]
-    min_eigenvalue: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.symmetry_violations and not self.negative_values
-
-
-def validate_base(spec: BaseKernel, sample: Sequence) -> BaseValidation:
-    """Check symmetry and nonnegativity of the base kernel on a sample.
-
-    The minimum eigenvalue of the base Gram matrix is reported as
-    diagnostics only; nothing is gated on it.
-    """
-    if not sample:
-        raise InputError("validation sample must be non-empty")
-    n = len(sample)
-    gram = np.zeros((n, n))
-    symmetry: list[tuple[int, int, float, float]] = []
-    negatives: list[tuple[int, int, float]] = []
-    for i in range(n):
-        for j in range(i, n):
-            kij = eval_base(spec, sample[i], sample[j])
-            kji = eval_base(spec, sample[j], sample[i])
-            if kij != kji:
-                symmetry.append((i, j, kij, kji))
-            if kij < 0.0:
-                negatives.append((i, j, kij))
-            gram[i, j] = gram[j, i] = kij
-    return BaseValidation(tuple(symmetry), tuple(negatives), jacobi_eigen(gram).min_eigenvalue)
 
 
 def parse_base_kernel(obj) -> BaseKernel:

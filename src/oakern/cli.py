@@ -2,15 +2,17 @@
 
 Exit codes: 0 success (for ``counterexample`` that additionally requires
 refuted=true, for ``verify-min-kernel`` a passing verdict), 1 input or
-parse error, 2 numeric non-convergence, 3 internal consistency failure
-(computed vs closed-form mismatch, or a verdict command whose claim did
-not hold). Output is byte-deterministic for identical inputs.
+parse error (an input too large to fit in memory included), 2 numeric
+non-convergence, 3 internal consistency failure (computed vs closed-form
+mismatch, or a verdict command whose claim did not hold). Output is
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from pathlib import Path
@@ -24,7 +26,7 @@ from .counterexample import (
 )
 from .errors import ConsistencyError, InputError, NumericError
 from .matrices import load_matrix, matrix_to_text
-from .serialize import dumps_json
+from .serialize import dumps_json, real_number
 from .spectral import DEFAULT_TOL, jacobi_eigen, psd_check, psd_project_clip, spectrum_to_json_obj
 
 EXIT_OK = 0
@@ -39,36 +41,38 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse_grid(text: str) -> list[float]:
+def _flag_numbers(text: str, what: str) -> list:
+    """Comma-separated JSON number literals, each read by the number rule of files.
+
+    A value keeps its JSON type, int or float, so a caller can ask for integers.
+    """
+    # as a CSV matrix row: the text parses as a JSON array iff each value is one literal
     try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad grid value: {exc}") from exc
-    if not values:
-        raise InputError("grid must contain at least one value")
+        values = json.loads(f"[{text}]")
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what} must be comma-separated JSON numbers, got {text!r}") from exc
+    for value in values:
+        real_number(value, what)
     return values
+
+
+def _flag_number(text: str, what: str) -> float:
+    values = _flag_numbers(text, what)
+    if len(values) != 1:
+        raise InputError(f"{what} must be one number, got {text!r}")
+    return float(values[0])
 
 
 def _parse_tol(text: str) -> float:
     try:
-        tol = float(text)
-    except ValueError:
+        tol = _flag_number(text, "tolerance")
+    except InputError:
         tol = math.nan
     if not (math.isfinite(tol) and tol >= 0.0):
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite nonnegative number, got {text!r}"
         )
     return tol
-
-
-def _parse_lengths(text: str) -> list[int]:
-    try:
-        values = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad length value: {exc}") from exc
-    if not values:
-        raise InputError("lengths must contain at least one value")
-    return values
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -103,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("counterexample", help="refutation certificate at one gamma")
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", required=True, help="RBF width, a JSON number")
     add_common(p)
 
     p = sub.add_parser("sweep", help="refutation sweep over a gamma grid (CSV)")
@@ -116,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, tol=False)
 
     p = sub.add_parser("verify-min-kernel", help="PSD verdict for min-kernel Gram matrices")
-    p.add_argument("--lengths", required=True, help="comma-separated tuple lengths")
+    p.add_argument("--lengths", required=True, help="comma-separated tuple lengths, JSON integers")
     add_common(p)
 
     return parser
@@ -143,7 +147,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "counterexample":
-        report = run_counterexample(args.gamma, args.tol)
+        report = run_counterexample(_flag_number(args.gamma, "gamma"), args.tol)
         _write_output(dumps_json(report.to_json_obj()), args.output)
         if not report.refuted:
             print("counterexample did not refute PSD-ness", file=sys.stderr)
@@ -151,8 +155,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "sweep":
-        rows = gamma_sweep(_parse_grid(args.grid), args.tol)
-        _write_output(sweep_to_csv(rows), args.output)
+        reports = gamma_sweep(_flag_numbers(args.grid, "grid"), args.tol)
+        _write_output(sweep_to_csv(reports), args.output)
         return EXIT_OK
 
     if args.command == "repair":
@@ -162,7 +166,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify-min-kernel":
-        verdict = verify_min_kernel_psd(_parse_lengths(args.lengths), args.tol)
+        lengths = _flag_numbers(args.lengths, "lengths")
+        if not all(type(n) is int for n in lengths):
+            raise InputError(f"lengths must be JSON integers, got {args.lengths!r}")
+        verdict = verify_min_kernel_psd(lengths, args.tol)
         _write_output(dumps_json(verdict.to_json_obj()), args.output)
         if not verdict.passed:
             print("min-kernel verdict failed", file=sys.stderr)
@@ -185,6 +192,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
+    except MemoryError:
+        print("error: input too large to fit in memory", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entrypoint() -> None:

@@ -18,7 +18,7 @@ to min(|x|, |y|), and those Gram matrices are PSD for any length multiset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +46,9 @@ SQUARE_POINTS: dict[str, Point] = {
     "D": Point((0.0, 1.0)),
 }
 PAIR_ORDER: tuple[str, ...] = ("AB", "AC", "AD", "BC", "BD", "CD")
+SQUARE_TUPLES: tuple[TupleObject, ...] = tuple(
+    TupleObject(elements=(SQUARE_POINTS[p[0]], SQUARE_POINTS[p[1]]), label=p) for p in PAIR_ORDER
+)
 
 # Certificate vectors over PAIR_ORDER. The witness expands to 8a^2 - 8a,
 # negative for every 0 < a < 1; the two null directions cancel exactly for
@@ -67,33 +70,9 @@ _TWO_A = (("AB", "CD"), ("AD", "BC"), ("AC", "BD"))
 _GRAM_MATCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SquareConfig:
-    """The counterexample configuration at one RBF width."""
-
-    gamma: float
-    a: float
-    points: dict[str, Point] = field(repr=False)
-    pair_order: tuple[str, ...] = PAIR_ORDER
-
-    def base(self) -> RBFKernel:
-        return RBFKernel(self.gamma)
-
-    def tuples(self) -> tuple[TupleObject, ...]:
-        return tuple(
-            TupleObject(elements=(self.points[p[0]], self.points[p[1]]), label=p)
-            for p in self.pair_order
-        )
-
-
-def build_square_config(gamma: float) -> SquareConfig:
-    gamma = RBFKernel(gamma).gamma
-    return SquareConfig(gamma=gamma, a=math.exp(-gamma), points=dict(SQUARE_POINTS))
-
-
 def expected_gram_closed_form(gamma: float) -> GramMatrix:
     """Closed-form 6x6 Gram matrix: diagonal 2, off-diagonal 1+a, 1+a^2 or 2a."""
-    a = build_square_config(gamma).a
+    a = math.exp(-RBFKernel(gamma).gamma)
     values = np.full((6, 6), 2.0)
     for pairs, value in ((_ONE_PLUS_A, 1.0 + a), (_ONE_PLUS_A_SQ, 1.0 + a * a), (_TWO_A, 2.0 * a)):
         for p, q in pairs:
@@ -106,7 +85,8 @@ def expected_gram_closed_form(gamma: float) -> GramMatrix:
 class CounterexampleReport:
     """Everything run_counterexample measured, JSON-serializable."""
 
-    config: SquareConfig
+    gamma: float
+    a: float
     gram_computed: GramMatrix
     gram_closed_form: GramMatrix
     max_abs_gram_diff: float
@@ -123,10 +103,10 @@ class CounterexampleReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "gamma": self.config.gamma,
-            "a": self.config.a,
-            "pair_order": list(self.config.pair_order),
-            "points": {k: list(p.coords) for k, p in sorted(self.config.points.items())},
+            "gamma": self.gamma,
+            "a": self.a,
+            "pair_order": list(PAIR_ORDER),
+            "points": {k: list(p.coords) for k, p in sorted(SQUARE_POINTS.items())},
             "gram_computed": self.gram_computed.to_json_obj(),
             "gram_closed_form": self.gram_closed_form.to_json_obj(),
             "max_abs_gram_diff": self.max_abs_gram_diff,
@@ -157,8 +137,8 @@ def run_counterexample(gamma: float, tol: float = DEFAULT_TOL) -> Counterexample
     closed form by more than 1e-12 anywhere; that means an implementation
     bug, not a property of the kernel.
     """
-    config = build_square_config(gamma)
-    gram = gram_matrix(config.tuples(), config.base())
+    base = RBFKernel(gamma)
+    gram = gram_matrix(SQUARE_TUPLES, base)
     closed = expected_gram_closed_form(gamma)
     max_diff = float(np.max(np.abs(gram.values - closed.values)))
     if max_diff > _GRAM_MATCH_TOL:
@@ -184,7 +164,8 @@ def run_counterexample(gamma: float, tol: float = DEFAULT_TOL) -> Counterexample
     gap = hyp_expected - hyp_actual
 
     return CounterexampleReport(
-        config=config,
+        gamma=base.gamma,
+        a=math.exp(-base.gamma),
         gram_computed=gram,
         gram_closed_form=closed,
         max_abs_gram_diff=max_diff,
@@ -201,48 +182,25 @@ def run_counterexample(gamma: float, tol: float = DEFAULT_TOL) -> Counterexample
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    gamma: float
-    a: float
-    lambda_min: float
-    witness_value: float
-    contradiction_gap: float
-    refuted: bool
-
-
 SWEEP_CSV_HEADER = "gamma,a,lambda_min,witness_value,contradiction_gap,refuted"
 
 
-def gamma_sweep(grid: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[SweepRow, ...]:
-    """One counterexample run per grid value, condensed to sweep rows."""
+def gamma_sweep(grid: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[CounterexampleReport, ...]:
+    """One counterexample run per grid value."""
     if len(grid) == 0:
         raise InputError("sweep grid must be non-empty")
-    rows = []
-    for gamma in grid:
-        report = run_counterexample(gamma, tol)
-        rows.append(
-            SweepRow(
-                gamma=report.config.gamma,
-                a=report.config.a,
-                lambda_min=report.spectrum.min_eigenvalue,
-                witness_value=report.witness_value,
-                contradiction_gap=report.contradiction_gap,
-                refuted=report.refuted,
-            )
-        )
-    return tuple(rows)
+    return tuple(run_counterexample(gamma, tol) for gamma in grid)
 
 
-def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
+def sweep_to_csv(reports: Sequence[CounterexampleReport]) -> str:
     lines = [SWEEP_CSV_HEADER]
-    for r in rows:
+    for r in reports:
         lines.append(
             ",".join(
                 (
                     format_float(r.gamma),
                     format_float(r.a),
-                    format_float(r.lambda_min),
+                    format_float(r.spectrum.min_eigenvalue),
                     format_float(r.witness_value),
                     format_float(r.contradiction_gap),
                     "true" if r.refuted else "false",

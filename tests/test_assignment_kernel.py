@@ -15,7 +15,7 @@ from oakern.assignment_kernel import (
     profit_matrix,
 )
 from oakern.base_kernel import Point, RBFKernel, TableKernel, constant_one, eval_base
-from oakern.counterexample import build_square_config, expected_gram_closed_form
+from oakern.counterexample import SQUARE_POINTS, SQUARE_TUPLES, expected_gram_closed_form
 from oakern.errors import InputError
 from oakern.hungarian import brute_force_assignment, solve_max_assignment
 from oakern.serialize import dumps_json
@@ -30,8 +30,7 @@ tuple_objects = st.lists(points, min_size=1, max_size=6).map(
 
 
 def square_tuple(pair):
-    config = build_square_config(1.0)
-    return TupleObject(elements=(config.points[pair[0]], config.points[pair[1]]), label=pair)
+    return TupleObject(elements=(SQUARE_POINTS[pair[0]], SQUARE_POINTS[pair[1]]), label=pair)
 
 
 def test_known_pair_values():
@@ -95,8 +94,7 @@ def test_constant_one_gives_min_kernel(nx, ny):
 
 
 def test_square_pairs_gram_matches_closed_form():
-    config = build_square_config(1.0)
-    gram = gram_matrix(config.tuples(), config.base())
+    gram = gram_matrix(SQUARE_TUPLES, RBF1)
     closed = expected_gram_closed_form(1.0)
     assert gram.labels == closed.labels
     assert np.max(np.abs(gram.values - closed.values)) <= 1e-12

@@ -1,4 +1,4 @@
-"""Base kernel evaluation, validation and JSON parsing."""
+"""Base kernel evaluation and JSON parsing."""
 
 import math
 
@@ -15,7 +15,6 @@ from oakern.base_kernel import (
     kernel_block,
     parse_base_kernel,
     squared_distance,
-    validate_base,
 )
 from oakern.errors import InputError
 
@@ -147,43 +146,6 @@ def test_constant_one_singleton():
     spec = constant_one()
     assert spec.labels == ("1",)
     assert eval_base(spec, "1", "1") == 1.0
-    report = validate_base(spec, ["1"])
-    assert report.passed
-    assert report.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
-
-
-def test_validate_base_square_corners():
-    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    report = validate_base(RBFKernel(gamma=1.0), corners)
-    assert report.passed
-    assert not report.symmetry_violations
-    assert not report.negative_values
-    # cross-check the reported minimum eigenvalue against an independent
-    # eigensolver on the same 4x4 base Gram
-    a = math.exp(-1.0)
-    gram = np.array(
-        [
-            [1, a, a * a, a],
-            [a, 1, a, a * a],
-            [a * a, a, 1, a],
-            [a, a * a, a, 1],
-        ]
-    )
-    oracle_min = float(np.linalg.eigvalsh(gram)[0])
-    assert oracle_min > 0.0
-    assert report.min_eigenvalue == pytest.approx(oracle_min, abs=1e-9)
-
-
-def test_validate_base_flags_negative_entry():
-    spec = TableKernel(("x", "y"), [[1.0, -0.1], [-0.1, 1.0]])
-    report = validate_base(spec, ["x", "y"])
-    assert report.negative_values == ((0, 1, -0.1),)
-    assert not report.passed
-
-
-def test_validate_base_empty_sample():
-    with pytest.raises(InputError):
-        validate_base(constant_one(), [])
 
 
 def test_parse_rbf():

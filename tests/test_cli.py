@@ -1,6 +1,9 @@
 """Command dispatch, exit codes, file formats and determinism."""
 
+import importlib.util
 import math
+import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from oakern import cli
-from oakern.counterexample import build_square_config, run_counterexample
+from oakern.counterexample import SQUARE_TUPLES, run_counterexample
 from oakern.errors import NumericError
 from oakern.serialize import dumps_json, loads_json, matrix_to_csv
 
@@ -20,7 +23,7 @@ def square_dataset(tmp_path):
     path = tmp_path / "square.json"
     tuples = [
         {"label": t.label, "elements": [list(e.coords) for e in t.elements]}
-        for t in build_square_config(1.0).tuples()
+        for t in SQUARE_TUPLES
     ]
     dataset = {"base_kernel": {"type": "rbf", "gamma": 1.0}, "tuples": tuples}
     path.write_text(dumps_json(dataset), encoding="utf-8")
@@ -209,6 +212,10 @@ def test_stdout_output(capsys):
         ("sweep", "--grid", ""),
         ("gram", "--input"),
         ("no-such-command",),
+        ("counterexample", "--gamma", "1_0"),
+        ("counterexample", "--gamma", "+1"),
+        ("sweep", "--grid", "0.5,1_0"),
+        ("verify-min-kernel", "--lengths", "\u0663,1_0"),
     ],
 )
 def test_input_errors_exit_1(args, tmp_path, capsys):
@@ -373,3 +380,38 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert loads_json(proc.stdout)["refuted"] is True
+
+
+def test_input_too_large_for_memory_is_one_error_line():
+    # a 200000 x 200000 profit block needs about 298 GiB; the address-space cap
+    # makes the allocation fail at once instead of straining the machine
+    def cap_address_space():
+        limit = 3 << 29  # 1.5 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "oakern", "verify-min-kernel", "--lengths", "200000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_hooks_name_existing_functions():
+    # perfbench times each layer by wrapping these names; a missing one reads as 0, silently
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.WRAPPED.items():
+        module = importlib.import_module(f"oakern.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"oakern.{layer}.{name}"

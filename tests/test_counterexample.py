@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from oakern.counterexample import (
     PAIR_ORDER,
+    SQUARE_POINTS,
+    SQUARE_TUPLES,
     SWEEP_CSV_HEADER,
-    build_square_config,
     expected_gram_closed_form,
     gamma_sweep,
     run_counterexample,
@@ -29,30 +30,33 @@ HYP_ACTUAL_G1 = 1.5901201952413002
 
 
 def test_build_square_config():
-    config = build_square_config(1.0)
-    assert config.a == math.exp(-1.0)
-    assert config.pair_order == PAIR_ORDER
-    assert config.points["A"].coords == (0.0, 0.0)
-    assert config.points["B"].coords == (1.0, 0.0)
-    assert config.points["C"].coords == (1.0, 1.0)
-    assert config.points["D"].coords == (0.0, 1.0)
-    labels = [t.label for t in config.tuples()]
-    assert labels == ["AB", "AC", "AD", "BC", "BD", "CD"]
+    assert SQUARE_POINTS["A"].coords == (0.0, 0.0)
+    assert SQUARE_POINTS["B"].coords == (1.0, 0.0)
+    assert SQUARE_POINTS["C"].coords == (1.0, 1.0)
+    assert SQUARE_POINTS["D"].coords == (0.0, 1.0)
+    labels = [t.label for t in SQUARE_TUPLES]
+    assert labels == list(PAIR_ORDER) == ["AB", "AC", "AD", "BC", "BD", "CD"]
+    for t in SQUARE_TUPLES:
+        assert t.elements == (SQUARE_POINTS[t.label[0]], SQUARE_POINTS[t.label[1]])
+    assert run_counterexample(1.0).a == math.exp(-1.0)
 
 
 def test_config_gamma_log_two():
-    assert build_square_config(math.log(2.0)).a == pytest.approx(0.5, abs=1e-15)
+    assert run_counterexample(math.log(2.0)).a == pytest.approx(0.5, abs=1e-15)
 
 
 def test_config_accepts_tiny_gamma():
-    config = build_square_config(1e-12)
-    assert 0.0 < config.a < 1.0
+    report = run_counterexample(1e-12)
+    assert report.gamma == 1e-12
+    assert 0.0 < report.a < 1.0
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
 def test_config_rejects_bad_gamma(gamma):
     with pytest.raises(InputError):
-        build_square_config(gamma)
+        run_counterexample(gamma)
+    with pytest.raises(InputError):
+        expected_gram_closed_form(gamma)
 
 
 def test_closed_form_entries():
@@ -120,6 +124,19 @@ def test_report_json_round_trip():
     assert obj["pair_order"] == list(PAIR_ORDER)
 
 
+def test_report_json_layout():
+    obj = run_counterexample(1.0).to_json_obj()
+    assert list(obj) == [
+        "gamma", "a", "pair_order", "points", "gram_computed", "gram_closed_form",
+        "max_abs_gram_diff", "spectrum", "psd_verdict", "witness", "witness_value",
+        "null_directions", "null_direction_values", "pythagorean_residuals",
+        "side_lengths_sq", "hyp_expected", "hyp_actual", "contradiction_gap",
+        "refuted", "notes",
+    ]
+    assert obj["pair_order"] == ["AB", "AC", "AD", "BC", "BD", "CD"]
+    assert obj["points"] == {"A": [0.0, 0.0], "B": [1.0, 0.0], "C": [1.0, 1.0], "D": [0.0, 1.0]}
+
+
 def test_sweep_rows_consistent_with_single_runs():
     rows = gamma_sweep(GRID)
     assert len(rows) == len(GRID)
@@ -128,9 +145,9 @@ def test_sweep_rows_consistent_with_single_runs():
         assert row.gamma == gamma
         assert row.a == a
         assert row.refuted
-        assert row.lambda_min < 0.0
+        assert row.spectrum.min_eigenvalue < 0.0
         # Rayleigh bound: the witness has squared norm 12
-        assert row.lambda_min <= (8 * a * a - 8 * a) / 12 + 1e-12
+        assert row.spectrum.min_eigenvalue <= (8 * a * a - 8 * a) / 12 + 1e-12
         assert row.witness_value == pytest.approx(8 * a * a - 8 * a, abs=1e-12)
         assert row.contradiction_gap > 1e-6
 
@@ -138,7 +155,7 @@ def test_sweep_rows_consistent_with_single_runs():
 def test_sweep_single_point_matches_run():
     row = gamma_sweep([1.0])[0]
     report = run_counterexample(1.0)
-    assert row.lambda_min == report.spectrum.min_eigenvalue
+    assert row.spectrum.min_eigenvalue == report.spectrum.min_eigenvalue
     assert row.witness_value == report.witness_value
     assert row.contradiction_gap == report.contradiction_gap
 
