@@ -1,6 +1,6 @@
 """Optimal assignment kernel on tuples, with PSD diagnostics and a refutation driver."""
 
-from .assignment_kernel import TupleObject, assignment_kernel, gram_matrix, profit_matrix
+from .assignment_kernel import TupleObject, gram_matrix
 from .base_kernel import RBFKernel, TableKernel, constant_one
 from .counterexample import run_counterexample, verify_min_kernel_psd
 from .errors import ConsistencyError, InputError, NumericError, OakernError

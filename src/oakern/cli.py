@@ -90,12 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol=True, output=True):
+    def add_common(p, tol=True):
         if tol:
             p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
                            help="relative PSD tolerance (default 1e-9)")
-        if output:
-            p.add_argument("--output", default=None, help="output path (default: stdout)")
+        p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("gram", help="Gram matrix of a tuple dataset")
     p.add_argument("--input", required=True, help="tuple dataset JSON file")

@@ -7,9 +7,10 @@ closed form, and then refutes PSD-ness three independent ways: a negative
 eigenvalue, a fixed witness vector whose quadratic form is 8a^2 - 8a < 0,
 and a distance-geometry contradiction (the six points would have to form
 two half-squares whose shared hypotenuse is longer than the value the
-kernel actually dictates). All distance identities are evaluated in
-squared form, where they are exact; only the final hypotenuse comparison
-takes square roots.
+kernel actually dictates). The distances are read from the matrix of
+squared distances, indexed by PAIR_ORDER; the identities are evaluated on
+those squares, where they are exact, and only the final hypotenuse
+comparison takes square roots.
 
 The positive counterpart: over a one-element base set the kernel collapses
 to min(|x|, |y|), and those Gram matrices are PSD for any length multiset.
@@ -152,15 +153,15 @@ def run_counterexample(gamma: float, tol: float = DEFAULT_TOL) -> Counterexample
     witness_value = quadratic_form(gram.values, WITNESS)
     null_values = tuple(quadratic_form(gram.values, v) for v in NULL_DIRECTIONS)
 
-    dm = distances_from_gram(gram)
-    d2 = dm.distance_sq
+    squared = distances_from_gram(gram).tolist()
+    d2 = {(p, q): squared[i][j] for i, p in enumerate(PAIR_ORDER) for j, q in enumerate(PAIR_ORDER)}
     residuals = (
-        d2("AB", "CD") - d2("AB", "AC") - d2("AC", "CD"),
-        d2("AB", "CD") - d2("AB", "BD") - d2("BD", "CD"),
+        d2["AB", "CD"] - d2["AB", "AC"] - d2["AC", "CD"],
+        d2["AB", "CD"] - d2["AB", "BD"] - d2["BD", "CD"],
     )
-    sides_sq = (d2("AB", "BC"), d2("BC", "CD"), d2("CD", "AD"), d2("AD", "AB"))
-    hyp_expected = math.sqrt(d2("AB", "BC") + d2("BC", "CD"))
-    hyp_actual = dm.distance("AB", "CD")
+    sides_sq = (d2["AB", "BC"], d2["BC", "CD"], d2["CD", "AD"], d2["AD", "AB"])
+    hyp_expected = math.sqrt(d2["AB", "BC"] + d2["BC", "CD"])
+    hyp_actual = math.sqrt(d2["AB", "CD"])
     gap = hyp_expected - hyp_actual
 
     return CounterexampleReport(
@@ -215,7 +216,6 @@ class MinKernelVerdict:
     """Findings for the positive case over a one-element base set."""
 
     lengths: tuple[int, ...]
-    gram: GramMatrix
     entries_exact: bool
     verdict: PsdVerdict
 
@@ -260,7 +260,6 @@ def verify_min_kernel_psd(lengths: Sequence[int], tol: float = DEFAULT_TOL) -> M
     verdict = psd_check(jacobi_eigen(gram.values), tol)
     return MinKernelVerdict(
         lengths=tuple(clean),
-        gram=gram,
         entries_exact=entries_exact,
         verdict=verdict,
     )

@@ -40,18 +40,16 @@ _ORACLE_CHUNK = 200_000
 
 @dataclass(frozen=True)
 class Assignment:
-    """An optimal pairing.
+    """An optimal pairing of an m x n profit matrix.
 
-    ``pairs`` maps indices of the shorter matrix side to indices of the
-    longer one, listed in increasing domain order; ``side`` records which
-    side that domain is ("rows" when m <= n, "columns" otherwise).
-    ``value`` is the sum of the selected profit entries, accumulated in
-    domain index order.
+    ``pairs`` maps indices of the shorter side to indices of the longer one,
+    listed in increasing domain order: (row, column) pairs when m <= n,
+    (column, row) pairs otherwise. ``value`` is the sum of the selected
+    profit entries, accumulated in domain index order.
     """
 
     pairs: tuple[tuple[int, int], ...]
     value: float
-    side: str
 
 
 def _validate_profits(values) -> np.ndarray:
@@ -167,32 +165,33 @@ def _lap_min(cost: list[list[float]]):
     return col_of_row, u, v
 
 
-def _solve_range(cost_rows, cost_cols, profits, start: int, end: int):
+def _solve_range(cost_rows, cost_cols, start: int, end: int):
     """Optimal assignment of the column range ``start:end`` of one converted block.
 
     ``cost_rows`` and ``cost_cols`` are the negated profits as row lists and
-    as column lists, ``profits`` the profits as row lists. The shorter side
-    of the range is the domain: the rows when there are no more rows than
-    columns in the range, else the columns. Returns ``_lap_min``'s mapping
-    of that domain into the longer side, with range-relative column
-    indices, and the total of the selected profits summed in domain order.
+    as column lists. The shorter side of the range is the domain: the rows
+    when there are no more rows than columns in the range, else the
+    columns. Returns ``_lap_min``'s mapping of that domain into the longer
+    side, with range-relative column indices, and the total of the selected
+    profits summed in domain order (as ``total -= cost``, which is
+    ``total += profit`` exactly).
     """
     total = 0.0
-    if len(profits) <= end - start:
+    if len(cost_rows) <= end - start:
         mapping, _, _ = _lap_min([row[start:end] for row in cost_rows])
         for i, j in enumerate(mapping):
-            total += profits[i][start + j]
+            total -= cost_rows[i][start + j]
     else:
         mapping, _, _ = _lap_min(cost_cols[start:end])
         for j, i in enumerate(mapping, start):
-            total += profits[i][j]
+            total -= cost_rows[i][j]
     return mapping, _checked_total(total)
 
 
 def _cost_lists(P: np.ndarray):
-    """The row lists and column lists of the negated profits, and the profits' row lists."""
+    """The row lists and column lists of the negated profits."""
     cost = -P
-    return cost.tolist(), cost.T.tolist(), P.tolist()
+    return cost.tolist(), cost.T.tolist()
 
 
 def block_assignment_values(block, ranges) -> list[float]:
@@ -220,7 +219,7 @@ def max_assignment_value(profits) -> float:
     built.
     """
     P = _validate_profits(profits)
-    return block_assignment_values(P, [(0, P.shape[1])])[0]
+    return _solve_range(*_cost_lists(P), 0, P.shape[1])[1]
 
 
 def solve_max_assignment(profits) -> Assignment:
@@ -231,10 +230,8 @@ def solve_max_assignment(profits) -> Assignment:
     left unspecified.
     """
     P = _validate_profits(profits)
-    m, n = P.shape
-    mapping, value = _solve_range(*_cost_lists(P), 0, n)
-    return Assignment(pairs=tuple(enumerate(mapping)), value=value,
-                      side="columns" if m > n else "rows")
+    mapping, value = _solve_range(*_cost_lists(P), 0, P.shape[1])
+    return Assignment(pairs=tuple(enumerate(mapping)), value=value)
 
 
 def brute_force_assignment(profits) -> Assignment:
@@ -246,9 +243,7 @@ def brute_force_assignment(profits) -> Assignment:
     may return a different pairing of the same value.
     """
     P = _validate_profits(profits)
-    m, n = P.shape
-    transposed = m > n
-    wide = P.T if transposed else P
+    wide = P.T if P.shape[0] > P.shape[1] else P
     k, width = wide.shape
     if k > _ORACLE_MAX_SIDE:
         raise InputError(
@@ -271,5 +266,4 @@ def brute_force_assignment(profits) -> Assignment:
             best_mapping = tuple(int(j) for j in chunk[pos])
     assert best_mapping is not None
     value = _selection_value(wide, best_mapping)
-    pairs = tuple((i, j) for i, j in enumerate(best_mapping))
-    return Assignment(pairs=pairs, value=float(value), side="columns" if transposed else "rows")
+    return Assignment(pairs=tuple(enumerate(best_mapping)), value=float(value))

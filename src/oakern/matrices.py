@@ -1,9 +1,10 @@
-"""Labeled symmetric matrices and their file formats.
+"""Symmetric matrices with display labels, and their file formats.
 
 Gram matrices are symmetric by construction: assembly fills one triangle
 and mirrors it, so the symmetry invariant is structural rather than a
 numerical afterthought. Files come in two flavors, JSON with labels
 (``{"labels": [...], "values": [[...]]}``) and header-free row-major CSV.
+Labels are display data, carried through to files.
 
 ``symmetric_array`` owns the symmetric-matrix rule: every matrix the
 package takes in, a Gram matrix file or a base kernel's table, passes
@@ -65,46 +66,8 @@ class GramMatrix:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         object.__setattr__(self, "values", arr)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InputError(f"unknown label {label!r}") from None
-
-    def entry(self, row_label: str, col_label: str) -> float:
-        return float(self.values[self.index_of(row_label), self.index_of(col_label)])
-
     def to_json_obj(self) -> dict:
         return {"labels": list(self.labels), "values": [list(map(float, row)) for row in self.values]}
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Pairwise distances recovered from a Gram matrix.
-
-    ``squared`` holds the (clamped) squared distances alongside the roots in
-    ``values``; identities on these quantities are exact in squared form, so
-    both are kept. ``violations`` lists (i, j, raw) triples whose raw squared
-    distance fell below -1e-9: evidence that no metric embedding exists, as
-    opposed to round-off, which is clamped silently.
-    """
-
-    labels: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-    squared: np.ndarray = field(repr=False)
-    violations: tuple[tuple[int, int, float], ...] = ()
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InputError(f"unknown label {label!r}") from None
-
-    def distance(self, a: str, b: str) -> float:
-        return float(self.values[self.index_of(a), self.index_of(b)])
-
-    def distance_sq(self, a: str, b: str) -> float:
-        return float(self.squared[self.index_of(a), self.index_of(b)])
 
 
 def default_labels(n: int) -> tuple[str, ...]:

@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericError
-from .matrices import DistanceMatrix, GramMatrix, symmetric_array
+from .matrices import GramMatrix, symmetric_array
 
 DEFAULT_TOL = 1e-9
 
 _OFFDIAG_TARGET = 1e-12
 _MAX_SWEEPS = 50
-_METRIC_VIOLATION = -1e-9
 
 
 def _as_symmetric(G) -> np.ndarray:
@@ -188,27 +187,16 @@ def quadratic_form(G, v) -> float:
     return float(np.dot(vec, A @ vec))
 
 
-def distances_from_gram(gram: GramMatrix) -> DistanceMatrix:
-    """Pairwise distances d(i,j) = sqrt(G_ii + G_jj - 2 G_ij).
+def distances_from_gram(gram: GramMatrix) -> np.ndarray:
+    """Squared pairwise distances G_ii + G_jj - 2 G_ij, as an n x n array.
 
-    Squared distances in [-1e-9, 0) are treated as round-off and clamped to
-    zero; anything below -1e-9 is clamped too but recorded as a metric
-    violation, since no inner-product space can produce it.
+    Returns squares, not distances: identities on them are exact. Negative
+    squares are clamped to 0, and the diagonal is exactly 0.
     """
-    G = gram.values
-    diag = np.diag(G)
-    raw = diag[:, None] + diag[None, :] - 2.0 * G
-    rows, cols = np.nonzero(np.triu(raw < _METRIC_VIOLATION, k=1))  # row-major, i < j
-    violations = zip(rows.tolist(), cols.tolist(), raw[rows, cols].tolist())
-    squared = np.maximum(raw, 0.0)
+    diag = np.diag(gram.values)
+    squared = np.maximum(diag[:, None] + diag[None, :] - 2.0 * gram.values, 0.0)
     np.fill_diagonal(squared, 0.0)
-    values = np.sqrt(squared)
-    return DistanceMatrix(
-        labels=gram.labels,
-        values=values,
-        squared=squared,
-        violations=tuple(violations),
-    )
+    return squared
 
 
 def psd_project_clip(gram: GramMatrix) -> GramMatrix:
@@ -222,15 +210,24 @@ def psd_project_clip(gram: GramMatrix) -> GramMatrix:
     zeroed too: they carry no sign, and a matrix rebuilt from them alone is
     rounding noise, which for tiny inputs falls to subnormal values that no
     longer pass the check.
+
+    The rebuild runs on the eigenvalues scaled by the power of two that
+    brings the largest magnitude into [0.5, 1), as :func:`jacobi_eigen`
+    does, so its sums cannot overflow; a result outside float64 range
+    raises :class:`NumericError`.
     """
     spectrum = jacobi_eigen(gram.values)
     if psd_check(spectrum).psd:
         return gram
-    w = spectrum.eigenvalues
+    _, exponent = math.frexp(float(np.max(np.abs(spectrum.eigenvalues))))
+    w = np.ldexp(spectrum.eigenvalues, -exponent)
     clipped = np.where(w > _OFFDIAG_TARGET * np.max(np.abs(w)), w, 0.0)
     V = spectrum.eigenvectors
     rebuilt = (V * clipped) @ V.T
-    rebuilt = (rebuilt + rebuilt.T) / 2.0
+    with np.errstate(over="ignore"):
+        rebuilt = np.ldexp((rebuilt + rebuilt.T) / 2.0, exponent)
+    if not np.all(np.isfinite(rebuilt)):
+        raise NumericError("the repaired matrix is outside float64 range")
     return GramMatrix(gram.labels, rebuilt)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from oakern.counterexample import (
     NULL_DIRECTIONS,
+    PAIR_ORDER,
     WITNESS,
     expected_gram_closed_form,
     gamma_sweep,
@@ -102,9 +103,10 @@ def test_criterion_4_distance_geometry():
     }
     from oakern.spectral import distances_from_gram
 
-    dm = distances_from_gram(report.gram_computed)
+    squared = distances_from_gram(report.gram_computed)
+    at = PAIR_ORDER.index
     checks = [
-        (abs(dm.distance_sq(x, y) - want) <= 1e-12, f"d({x},{y})^2 closed form")
+        (abs(squared[at(x), at(y)] - want) <= 1e-12, f"d({x},{y})^2 closed form")
         for (x, y), want in d2.items()
     ]
     checks += [

@@ -16,6 +16,7 @@ from oakern import cli
 from oakern.counterexample import SQUARE_TUPLES, run_counterexample
 from oakern.errors import NumericError
 from oakern.serialize import dumps_json, loads_json, matrix_to_csv
+from oakern.spectral import Spectrum, jacobi_eigen, psd_check
 
 
 @pytest.fixture
@@ -195,6 +196,49 @@ def test_outputs_are_byte_deterministic(tmp_path, square_dataset):
     assert c1.read_bytes() == c2.read_bytes()
 
 
+def rbf_dataset(tuples, gamma) -> str:
+    rows = [{"label": f"t{i}", "elements": t.tolist()} for i, t in enumerate(tuples)]
+    return dumps_json({"base_kernel": {"type": "rbf", "gamma": gamma}, "tuples": rows})
+
+
+@pytest.mark.parametrize("k", [-3, 5])
+def test_gram_file_unchanged_when_points_and_gamma_rescale(tmp_path, k):
+    # gamma |x - y|^2 is unchanged, exactly, when x and y scale by 2^k and gamma by 2^-2k
+    rng = np.random.default_rng(3)
+    square = [np.array([e.coords for e in t.elements]) for t in SQUARE_TUPLES]
+    cases = [(square, 1.0), ([rng.standard_normal((n, 3)) for n in (1, 4, 2, 5, 3)], 0.5)]
+    for tuples, gamma in cases:
+        files = []
+        for scale in (0, k):
+            dataset, out = tmp_path / f"rbf{scale}.json", tmp_path / f"gram{scale}.json"
+            scaled = [np.ldexp(t, scale) for t in tuples]
+            dataset.write_text(rbf_dataset(scaled, math.ldexp(gamma, -2 * scale)), encoding="utf-8")
+            assert run_cli("gram", "--input", dataset, "--output", out) == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("k", [-600, 40])
+def test_spectrum_file_scales_with_the_matrix_file(tmp_path, k):
+    # eigenvalues scale by exactly 2^k; the verdict and its margin are scale-free to the byte
+    square = run_counterexample(1.0).gram_computed.values  # not PSD
+    B = np.random.default_rng(12).standard_normal((12, 8))
+    S = B @ B.T
+    rank_8 = (S + S.T) / 2.0  # PSD, with four eigenvalues at rounding level
+    for G in (square, rank_8):
+        spectra = []
+        for scale in (0, k):
+            path, out = tmp_path / f"m{scale}.json", tmp_path / f"spec{scale}.json"
+            path.write_text(dumps_json({"values": np.ldexp(G, scale).tolist()}), encoding="utf-8")
+            assert run_cli("spectrum", "--input", path, "--output", out) == 0
+            spectra.append(loads_json(out.read_text(encoding="utf-8")))
+        base, scaled = spectra
+        assert scaled["eigenvalues"] == [math.ldexp(w, k) for w in base["eigenvalues"]]
+        assert scaled["min_eigenvalue"] == math.ldexp(base["min_eigenvalue"], k)
+        for key in ("psd", "margin"):
+            assert dumps_json(scaled[key]) == dumps_json(base[key])
+
+
 def test_stdout_output(capsys):
     assert run_cli("verify-min-kernel", "--lengths", "2,3") == 0
     out = capsys.readouterr().out
@@ -340,6 +384,31 @@ def test_spectrum_of_huge_entries(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("spectrum", "--input", path, "--output", out) == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_repair_near_the_float64_limit(tmp_path, capsys):
+    # the nearest PSD matrix, [[1.2071e308, 5e307], [5e307, 2.0711e307]], is finite
+    path = tmp_path / "big.csv"
+    path.write_text("1e308,1e308\n1e308,-1e308\n", encoding="utf-8")
+    fixed = tmp_path / "fixed.json"
+    capsys.readouterr()
+    assert run_cli("repair", "--input", path, "--output", fixed) == 0
+    assert capsys.readouterr().err == ""
+    values = loads_json(fixed.read_text(encoding="utf-8"))["values"]
+    assert psd_check(jacobi_eigen(values)).psd
+
+
+def test_repair_past_the_float64_limit_exits_2(tmp_path, monkeypatch, capsys):
+    # an eigenvector one ulp longer than 1 rounds the rebuilt corner up to 2^1024
+    top = np.finfo(float).max
+    spectrum = Spectrum(np.array([top, -top / 2]), np.array([[1.0 + 2.0**-52, 0.0], [0.0, 1.0]]))
+    monkeypatch.setattr("oakern.spectral.jacobi_eigen", lambda values: spectrum)
+    path = tmp_path / "top.csv"
+    path.write_text(matrix_to_csv(np.diag([top, -top / 2])), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("repair", "--input", path, "--output", tmp_path / "fixed.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
 
 
 def test_parser_is_built_once(monkeypatch, tmp_path):

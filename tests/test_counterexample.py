@@ -17,6 +17,8 @@ from oakern.counterexample import (
     sweep_to_csv,
     verify_min_kernel_psd,
 )
+from oakern.assignment_kernel import TupleObject, gram_matrix
+from oakern.base_kernel import SINGLETON_LABEL, constant_one
 from oakern.errors import InputError
 from oakern.serialize import dumps_json, loads_json
 
@@ -27,6 +29,12 @@ WITNESS_VALUE_G1 = -1.8603532634786370
 GAP_G1 = 0.26962679482308734
 HYP_EXPECTED_G1 = 1.8597469900643876
 HYP_ACTUAL_G1 = 1.5901201952413002
+
+
+def min_kernel_gram(lengths):
+    """The Gram matrix of the repeat-tuples that verify_min_kernel_psd builds."""
+    tuples = [TupleObject(elements=(SINGLETON_LABEL,) * n, label=f"len{n}") for n in lengths]
+    return gram_matrix(tuples, constant_one())
 
 
 def test_build_square_config():
@@ -61,11 +69,12 @@ def test_config_rejects_bad_gamma(gamma):
 
 def test_closed_form_entries():
     a = math.exp(-1.0)
-    gram = expected_gram_closed_form(1.0)
-    assert gram.entry("AB", "AB") == 2.0
-    assert gram.entry("AB", "AC") == pytest.approx(1 + a, abs=1e-15)
-    assert gram.entry("AB", "AD") == pytest.approx(1 + a * a, abs=1e-15)
-    assert gram.entry("AB", "CD") == pytest.approx(2 * a, abs=1e-15)
+    values = expected_gram_closed_form(1.0).values
+    at = PAIR_ORDER.index
+    assert values[at("AB"), at("AB")] == 2.0
+    assert values[at("AB"), at("AC")] == pytest.approx(1 + a, abs=1e-15)
+    assert values[at("AB"), at("AD")] == pytest.approx(1 + a * a, abs=1e-15)
+    assert values[at("AB"), at("CD")] == pytest.approx(2 * a, abs=1e-15)
 
 
 def test_closed_form_value_class_counts():
@@ -183,12 +192,14 @@ def test_min_kernel_small_cases():
     assert verdict.entries_exact
     assert verdict.verdict.psd
     assert verdict.passed
+    # the verdict keeps no matrix: the Gram on the same repeat-tuples is the literal min matrix
     assert np.array_equal(
-        verdict.gram.values, np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
+        min_kernel_gram([1, 2, 3]).values,
+        np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]]),
     )
 
     single = verify_min_kernel_psd([5])
-    assert single.gram.values.tolist() == [[5.0]]
+    assert min_kernel_gram([5]).values.tolist() == [[5.0]]
     assert single.passed
 
 

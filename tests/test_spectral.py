@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oakern import spectral
-from oakern.counterexample import NULL_DIRECTIONS, WITNESS, expected_gram_closed_form
+from oakern.counterexample import NULL_DIRECTIONS, PAIR_ORDER, WITNESS, expected_gram_closed_form
 from oakern.errors import InputError, NumericError
 from oakern.matrices import GramMatrix, default_labels
 from oakern.spectral import (
@@ -205,41 +205,37 @@ def test_quadratic_form_decomposition_and_rayleigh(G):
 
 def test_distances_from_gram_closed_form():
     a = math.exp(-1.0)
-    dm = distances_from_gram(expected_gram_closed_form(1.0))
-    assert dm.distance_sq("AB", "AC") == pytest.approx(2 - 2 * a, abs=1e-12)
-    assert dm.distance_sq("AB", "CD") == pytest.approx(4 - 4 * a, abs=1e-12)
-    assert dm.distance_sq("AB", "BC") == pytest.approx(2 - 2 * a * a, abs=1e-12)
-    assert np.array_equal(dm.values, dm.values.T)
-    assert np.all(np.diag(dm.values) == 0.0)
-    assert dm.violations == ()
+    d2 = distances_from_gram(expected_gram_closed_form(1.0))
+    at = PAIR_ORDER.index
+    assert d2[at("AB"), at("AC")] == pytest.approx(2 - 2 * a, abs=1e-12)
+    assert d2[at("AB"), at("CD")] == pytest.approx(4 - 4 * a, abs=1e-12)
+    assert d2[at("AB"), at("BC")] == pytest.approx(2 - 2 * a * a, abs=1e-12)
+    assert np.array_equal(d2, d2.T)
+    assert np.all(np.diag(d2) == 0.0)
 
 
 def test_distances_flag_metric_violation():
     gram = GramMatrix(("p", "q"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    dm = distances_from_gram(gram)
-    assert dm.violations == ((0, 1, -2.0),)
-    assert dm.distance("p", "q") == 0.0  # clamped
-
-
-def test_distances_list_violations_in_row_major_order():
-    rng = np.random.default_rng(7)
-    A = rng.normal(size=(9, 9))
-    G = A + A.T
-    raw = np.diag(G)[:, None] + np.diag(G)[None, :] - 2.0 * G
-    # the per-element reference scan
-    want = tuple(
-        (i, j, float(raw[i, j])) for i in range(9) for j in range(i + 1, 9) if raw[i, j] < -1e-9
-    )
-    assert len(want) > 1
-    assert distances_from_gram(GramMatrix(tuple(f"t{i}" for i in range(9)), G)).violations == want
+    assert distances_from_gram(gram)[0, 1] == 0.0  # a raw square of -2, clamped
 
 
 def test_distances_clamp_roundoff_silently():
     eps = 1e-12
     gram = GramMatrix(("p", "q"), np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]]))
-    dm = distances_from_gram(gram)
-    assert dm.violations == ()
-    assert dm.distance("p", "q") == 0.0
+    assert distances_from_gram(gram)[0, 1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "G",
+    [np.array([[1e308, 1e308], [1e308, -1e308]]), expected_gram_closed_form(1.0).values],
+    ids=["near overflow", "square gram"],
+)
+def test_clip_commutes_with_power_of_two_scaling(G):
+    # the rebuild runs at a power-of-two scale, so 2^-1000 G repairs to 2^-1000 times G's repair
+    labels = default_labels(len(G))
+    want = psd_project_clip(GramMatrix(labels, G)).values
+    got = psd_project_clip(GramMatrix(labels, np.ldexp(G, -1000))).values
+    assert np.array_equal(np.ldexp(got, 1000), want)
 
 
 def test_clip_leaves_identity_alone():
