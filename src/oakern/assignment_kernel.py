@@ -11,7 +11,8 @@ tuple and every later one, O(L * sum L) memory. One solver call per row
 block validates the block's profits and converts them to costs once, then
 solves each entry of the upper triangle as a value-only assignment on a
 column slice of those costs. ``profit_matrix`` and ``assignment_kernel``
-run the same block and solver code on a single pair.
+run the same block and solver code on a single pair. Gram assembly is
+bounded in size by :func:`check_gram_size` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .errors import InputError
 from .hungarian import block_assignment_values, max_assignment_value
 from .matrices import GramMatrix
 from .serialize import loads_json
+
+MAX_GRAM_CELLS = 10**7  # cells allowed in the largest profit block and in the Gram matrix
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,22 @@ def gram_labels(tuples: Sequence[TupleObject]) -> tuple[str, ...]:
     return tuple(t.label if t.label else f"t{i}" for i, t in enumerate(tuples))
 
 
+def check_gram_size(lengths: Sequence[int]) -> None:
+    """Refuse tuple lengths whose Gram assembly would pass ``MAX_GRAM_CELLS``.
+
+    The largest profit block has L_max x sum(L) cells and the Gram matrix
+    n x n; both are counted in Python ints, so no length is too large to count.
+    """
+    cells = max(max(lengths) * sum(lengths), len(lengths) ** 2)
+    if cells > MAX_GRAM_CELLS:
+        raise InputError(f"input too large: Gram assembly needs over {MAX_GRAM_CELLS} cells at once")
+
+
 def gram_matrix(tuples: Sequence[TupleObject], base: BaseKernel) -> GramMatrix:
     """Pairwise kernel values; the upper triangle is computed and mirrored."""
     if not tuples:
         raise InputError("need at least one tuple")
+    check_gram_size([len(t) for t in tuples])
     stack = stack_elements(base, [e for t in tuples for e in t.elements])
     ends = np.cumsum([len(t) for t in tuples]).tolist()
     starts = [end - len(t) for end, t in zip(ends, tuples)]

@@ -2,10 +2,12 @@
 
 Exit codes: 0 success (for ``counterexample`` that additionally requires
 refuted=true, for ``verify-min-kernel`` a passing verdict), 1 input or
-parse error (an input too large to fit in memory included), 2 numeric
-non-convergence, 3 internal consistency failure (computed vs closed-form
-mismatch, or a verdict command whose claim did not hold). Output is
-byte-deterministic for identical inputs.
+parse error (a Gram matrix past ``check_gram_size``'s bound or an input
+too large for memory included), 2 numeric failure (non-convergence, or an
+assignment total, eigenvalue or repaired matrix outside float64 range), 3
+internal consistency failure (computed vs closed-form mismatch, or a
+verdict command whose claim did not hold). Output is byte-deterministic
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ def _dispatch(args) -> int:
 
     if args.command == "counterexample":
         report = run_counterexample(_flag_number(args.gamma, "gamma"), args.tol)
-        _write_output(dumps_json(report.to_json_obj()), args.output)
-        if not report.refuted:
+        _write_output(dumps_json(report), args.output)
+        if not report["refuted"]:
             print("counterexample did not refute PSD-ness", file=sys.stderr)
             return EXIT_CONSISTENCY
         return EXIT_OK
@@ -165,12 +167,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify-min-kernel":
-        lengths = _flag_numbers(args.lengths, "lengths")
-        if not all(type(n) is int for n in lengths):
-            raise InputError(f"lengths must be JSON integers, got {args.lengths!r}")
-        verdict = verify_min_kernel_psd(lengths, args.tol)
-        _write_output(dumps_json(verdict.to_json_obj()), args.output)
-        if not verdict.passed:
+        verdict = verify_min_kernel_psd(_flag_numbers(args.lengths, "lengths"), args.tol)
+        _write_output(dumps_json(verdict), args.output)
+        if not verdict["passed"]:
             print("min-kernel verdict failed", file=sys.stderr)
             return EXIT_CONSISTENCY
         return EXIT_OK

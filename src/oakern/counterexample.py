@@ -19,20 +19,19 @@ to min(|x|, |y|), and those Gram matrices are PSD for any length multiset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
 
-from .assignment_kernel import TupleObject, gram_matrix
+from .assignment_kernel import TupleObject, check_gram_size, gram_matrix
 from .base_kernel import Point, RBFKernel, SINGLETON_LABEL, constant_one
 from .errors import ConsistencyError, InputError
 from .matrices import GramMatrix
 from .serialize import format_float
 from .spectral import (
     DEFAULT_TOL,
-    PsdVerdict,
-    Spectrum,
     distances_from_gram,
     jacobi_eigen,
     psd_check,
@@ -82,57 +81,11 @@ def expected_gram_closed_form(gamma: float) -> GramMatrix:
     return GramMatrix(PAIR_ORDER, values)
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    """Everything run_counterexample measured, JSON-serializable."""
-
-    gamma: float
-    a: float
-    gram_computed: GramMatrix
-    gram_closed_form: GramMatrix
-    max_abs_gram_diff: float
-    spectrum: Spectrum
-    verdict: PsdVerdict
-    witness_value: float
-    null_direction_values: tuple[float, float]
-    pythagorean_residuals: tuple[float, float]
-    side_lengths_sq: tuple[float, float, float, float]
-    hyp_expected: float
-    hyp_actual: float
-    contradiction_gap: float
-    refuted: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "a": self.a,
-            "pair_order": list(PAIR_ORDER),
-            "points": {k: list(p.coords) for k, p in sorted(SQUARE_POINTS.items())},
-            "gram_computed": self.gram_computed.to_json_obj(),
-            "gram_closed_form": self.gram_closed_form.to_json_obj(),
-            "max_abs_gram_diff": self.max_abs_gram_diff,
-            "spectrum": {
-                "eigenvalues": [float(w) for w in self.spectrum.eigenvalues],
-                "min_eigenvalue": self.spectrum.min_eigenvalue,
-            },
-            "psd_verdict": self.verdict.to_json_obj(),
-            "witness": list(WITNESS),
-            "witness_value": self.witness_value,
-            "null_directions": [list(v) for v in NULL_DIRECTIONS],
-            "null_direction_values": list(self.null_direction_values),
-            "pythagorean_residuals": list(self.pythagorean_residuals),
-            "side_lengths_sq": list(self.side_lengths_sq),
-            "hyp_expected": self.hyp_expected,
-            "hyp_actual": self.hyp_actual,
-            "contradiction_gap": self.contradiction_gap,
-            "refuted": self.refuted,
-            "notes": "distance identities evaluated on squared distances; "
-            "hypotenuse comparison on their square roots",
-        }
-
-
-def run_counterexample(gamma: float, tol: float = DEFAULT_TOL) -> CounterexampleReport:
+def run_counterexample(gamma: float, tol: float = DEFAULT_TOL) -> dict:
     """Assemble the Gram matrix through the solver stack and refute PSD-ness.
+
+    Returns the report that ``oakern counterexample`` writes: a JSON-ready
+    dict, keys in written order.
 
     Raises :class:`ConsistencyError` if the computed matrix strays from the
     closed form by more than 1e-12 anywhere; that means an implementation
@@ -150,116 +103,103 @@ def run_counterexample(gamma: float, tol: float = DEFAULT_TOL) -> Counterexample
 
     spectrum = jacobi_eigen(gram.values)
     verdict = psd_check(spectrum, tol)
-    witness_value = quadratic_form(gram.values, WITNESS)
-    null_values = tuple(quadratic_form(gram.values, v) for v in NULL_DIRECTIONS)
-
     squared = distances_from_gram(gram).tolist()
     d2 = {(p, q): squared[i][j] for i, p in enumerate(PAIR_ORDER) for j, q in enumerate(PAIR_ORDER)}
-    residuals = (
-        d2["AB", "CD"] - d2["AB", "AC"] - d2["AC", "CD"],
-        d2["AB", "CD"] - d2["AB", "BD"] - d2["BD", "CD"],
-    )
-    sides_sq = (d2["AB", "BC"], d2["BC", "CD"], d2["CD", "AD"], d2["AD", "AB"])
     hyp_expected = math.sqrt(d2["AB", "BC"] + d2["BC", "CD"])
     hyp_actual = math.sqrt(d2["AB", "CD"])
     gap = hyp_expected - hyp_actual
-
-    return CounterexampleReport(
-        gamma=base.gamma,
-        a=math.exp(-base.gamma),
-        gram_computed=gram,
-        gram_closed_form=closed,
-        max_abs_gram_diff=max_diff,
-        spectrum=spectrum,
-        verdict=verdict,
-        witness_value=witness_value,
-        null_direction_values=null_values,
-        pythagorean_residuals=residuals,
-        side_lengths_sq=sides_sq,
-        hyp_expected=hyp_expected,
-        hyp_actual=hyp_actual,
-        contradiction_gap=gap,
-        refuted=(not verdict.psd) and gap > tol,
-    )
+    return {
+        "gamma": base.gamma,
+        "a": math.exp(-base.gamma),
+        "pair_order": list(PAIR_ORDER),
+        "points": {k: list(p.coords) for k, p in sorted(SQUARE_POINTS.items())},
+        "gram_computed": gram.to_json_obj(),
+        "gram_closed_form": closed.to_json_obj(),
+        "max_abs_gram_diff": max_diff,
+        "spectrum": {
+            "eigenvalues": [float(w) for w in spectrum.eigenvalues],
+            "min_eigenvalue": spectrum.min_eigenvalue,
+        },
+        "psd_verdict": asdict(verdict),
+        "witness": list(WITNESS),
+        "witness_value": quadratic_form(gram.values, WITNESS),
+        "null_directions": [list(v) for v in NULL_DIRECTIONS],
+        "null_direction_values": [quadratic_form(gram.values, v) for v in NULL_DIRECTIONS],
+        "pythagorean_residuals": [
+            d2["AB", "CD"] - d2["AB", "AC"] - d2["AC", "CD"],
+            d2["AB", "CD"] - d2["AB", "BD"] - d2["BD", "CD"],
+        ],
+        "side_lengths_sq": [d2["AB", "BC"], d2["BC", "CD"], d2["CD", "AD"], d2["AD", "AB"]],
+        "hyp_expected": hyp_expected,
+        "hyp_actual": hyp_actual,
+        "contradiction_gap": gap,
+        "refuted": (not verdict.psd) and gap > tol,
+        "notes": "distance identities evaluated on squared distances; "
+        "hypotenuse comparison on their square roots",
+    }
 
 
 SWEEP_CSV_HEADER = "gamma,a,lambda_min,witness_value,contradiction_gap,refuted"
 
 
-def gamma_sweep(grid: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[CounterexampleReport, ...]:
-    """One counterexample run per grid value."""
+def gamma_sweep(grid: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[dict, ...]:
+    """One counterexample report per grid value, as :func:`run_counterexample` returns it."""
     if len(grid) == 0:
         raise InputError("sweep grid must be non-empty")
     return tuple(run_counterexample(gamma, tol) for gamma in grid)
 
 
-def sweep_to_csv(reports: Sequence[CounterexampleReport]) -> str:
+def sweep_to_csv(reports: Sequence[dict]) -> str:
     lines = [SWEEP_CSV_HEADER]
     for r in reports:
         lines.append(
             ",".join(
                 (
-                    format_float(r.gamma),
-                    format_float(r.a),
-                    format_float(r.spectrum.min_eigenvalue),
-                    format_float(r.witness_value),
-                    format_float(r.contradiction_gap),
-                    "true" if r.refuted else "false",
+                    format_float(r["gamma"]),
+                    format_float(r["a"]),
+                    format_float(r["spectrum"]["min_eigenvalue"]),
+                    format_float(r["witness_value"]),
+                    format_float(r["contradiction_gap"]),
+                    "true" if r["refuted"] else "false",
                 )
             )
         )
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class MinKernelVerdict:
-    """Findings for the positive case over a one-element base set."""
-
-    lengths: tuple[int, ...]
-    entries_exact: bool
-    verdict: PsdVerdict
-
-    @property
-    def passed(self) -> bool:
-        return self.entries_exact and self.verdict.psd
-
-    def to_json_obj(self) -> dict:
-        return {
-            "lengths": list(self.lengths),
-            "entries_exact": self.entries_exact,
-            "psd": self.verdict.psd,
-            "min_eigenvalue": self.verdict.min_eigenvalue,
-            "margin": self.verdict.margin,
-            "tol": self.verdict.tol,
-            "passed": self.passed,
-        }
-
-
-def verify_min_kernel_psd(lengths: Sequence[int], tol: float = DEFAULT_TOL) -> MinKernelVerdict:
+def verify_min_kernel_psd(lengths: Sequence[int], tol: float = DEFAULT_TOL) -> dict:
     """Check that repeat-tuples over a singleton base give the min kernel, PSD.
 
     Each length L becomes the tuple of L copies of the single base label;
     the kernel value of two such tuples must equal min of their lengths
-    exactly, and the resulting Gram matrix must pass the PSD check.
+    exactly, and the resulting Gram matrix must pass the PSD check. A
+    length is an integer (not a bool) of at least 1, and the lengths must
+    pass :func:`check_gram_size` before any tuple is built.
+
+    Returns the verdict that ``oakern verify-min-kernel`` writes: a
+    JSON-ready dict, keys in written order.
     """
     if len(lengths) == 0:
         raise InputError("need at least one tuple length")
-    clean: list[int] = []
-    for value in lengths:
-        length = int(value)
-        if length != value or length < 1:
-            raise InputError(f"tuple lengths must be positive integers, got {value!r}")
-        clean.append(length)
+    for length in lengths:
+        if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 1:
+            raise InputError(f"tuple lengths must be positive integers, got {length!r}")
+    lengths = [int(length) for length in lengths]
+    check_gram_size(lengths)
     tuples = tuple(
         TupleObject(elements=(SINGLETON_LABEL,) * length, label=f"len{length}")
-        for length in clean
+        for length in lengths
     )
     gram = gram_matrix(tuples, constant_one())
-    as_floats = np.array(clean, dtype=float)
+    as_floats = np.array(lengths, dtype=float)
     entries_exact = np.array_equal(gram.values, np.minimum.outer(as_floats, as_floats))
     verdict = psd_check(jacobi_eigen(gram.values), tol)
-    return MinKernelVerdict(
-        lengths=tuple(clean),
-        entries_exact=entries_exact,
-        verdict=verdict,
-    )
+    return {
+        "lengths": lengths,
+        "entries_exact": entries_exact,
+        "psd": verdict.psd,
+        "min_eigenvalue": verdict.min_eigenvalue,
+        "margin": verdict.margin,
+        "tol": verdict.tol,
+        "passed": entries_exact and verdict.psd,
+    }

@@ -15,7 +15,7 @@ class InputError(OakernError, ValueError):
 
 
 class NumericError(OakernError, RuntimeError):
-    """A numerical routine failed to converge within its budget."""
+    """A numerical routine failed to converge, or a result is outside float64 range."""
 
 
 class ConsistencyError(OakernError, RuntimeError):

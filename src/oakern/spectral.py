@@ -61,15 +61,6 @@ class PsdVerdict:
     max_eigenvalue: float
     tol: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "psd": self.psd,
-            "margin": self.margin,
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_eigenvalue": self.max_eigenvalue,
-            "tol": self.tol,
-        }
-
 
 def jacobi_eigen(G) -> Spectrum:
     """Eigendecomposition by cyclic Jacobi rotations.

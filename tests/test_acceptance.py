@@ -19,7 +19,7 @@ from oakern.counterexample import (
     verify_min_kernel_psd,
 )
 from oakern.hungarian import brute_force_assignment, solve_max_assignment
-from oakern.matrices import GramMatrix, default_labels
+from oakern.matrices import GramMatrix, default_labels, matrix_from_json_obj
 from oakern.spectral import jacobi_eigen, psd_check, psd_project_clip, quadratic_form
 
 GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0)
@@ -39,13 +39,13 @@ def test_criterion_1_closed_form_gram_reproduction():
     elapsed = time.perf_counter() - started
 
     a = math.exp(-1.0)
-    values = report.gram_computed.values
+    values = np.array(report["gram_computed"]["values"])
     flat = np.sort(values[np.triu_indices(6)])
     expected = np.sort(
         np.array([2.0] * 6 + [1.0 + a] * 8 + [1.0 + a * a] * 4 + [2.0 * a] * 3)
     )
     checks = [
-        (report.max_abs_gram_diff <= 1e-12, "max |computed - closed form| <= 1e-12"),
+        (report["max_abs_gram_diff"] <= 1e-12, "max |computed - closed form| <= 1e-12"),
         (np.max(np.abs(flat - expected)) <= 1e-12, "entry value classes 6/8/4/3"),
         (elapsed < 1.0, f"runtime {elapsed:.3f}s < 1s"),
     ]
@@ -56,9 +56,12 @@ def test_criterion_2_non_psd_refutation():
     report = run_counterexample(1.0)
     rows = gamma_sweep(GRID)
     checks = [
-        (report.spectrum.min_eigenvalue < -0.15, "lambda_min < -0.15 at gamma=1"),
-        (not psd_check(report.spectrum, 1e-9).psd, "psd_check fails at tol 1e-9"),
-        (all(r.refuted for r in rows), "refuted on every sweep row"),
+        (report["spectrum"]["min_eigenvalue"] < -0.15, "lambda_min < -0.15 at gamma=1"),
+        (
+            not psd_check(jacobi_eigen(report["gram_computed"]["values"]), 1e-9).psd,
+            "psd_check fails at tol 1e-9",
+        ),
+        (all(r["refuted"] for r in rows), "refuted on every sweep row"),
         (len(rows) == len(GRID), "one row per grid gamma"),
     ]
     _verdict(2, "non-PSD refutation", checks)
@@ -68,8 +71,8 @@ def test_criterion_3_witness_certificate():
     checks = []
     for gamma in GRID:
         a = math.exp(-gamma)
-        gram = run_counterexample(gamma).gram_computed
-        witness_value = quadratic_form(gram.values, WITNESS)
+        gram = run_counterexample(gamma)["gram_computed"]
+        witness_value = quadratic_form(gram["values"], WITNESS)
         checks.append(
             (
                 abs(witness_value - (8 * a * a - 8 * a)) <= 1e-12,
@@ -79,7 +82,7 @@ def test_criterion_3_witness_certificate():
         for v in NULL_DIRECTIONS:
             checks.append(
                 (
-                    abs(quadratic_form(gram.values, v)) <= 1e-12,
+                    abs(quadratic_form(gram["values"], v)) <= 1e-12,
                     f"null direction vanishes at gamma={gamma}",
                 )
             )
@@ -103,7 +106,7 @@ def test_criterion_4_distance_geometry():
     }
     from oakern.spectral import distances_from_gram
 
-    squared = distances_from_gram(report.gram_computed)
+    squared = distances_from_gram(matrix_from_json_obj(report["gram_computed"]))
     at = PAIR_ORDER.index
     checks = [
         (abs(squared[at(x), at(y)] - want) <= 1e-12, f"d({x},{y})^2 closed form")
@@ -111,13 +114,13 @@ def test_criterion_4_distance_geometry():
     ]
     checks += [
         (
-            all(abs(r) <= 1e-12 for r in report.pythagorean_residuals),
+            all(abs(r) <= 1e-12 for r in report["pythagorean_residuals"]),
             "half-square residuals <= 1e-12",
         ),
-        (abs(report.contradiction_gap - GAP_G1) <= 1e-6, "gap about 0.2696 at gamma=1"),
+        (abs(report["contradiction_gap"] - GAP_G1) <= 1e-6, "gap about 0.2696 at gamma=1"),
     ]
     for row in gamma_sweep(GRID):
-        checks.append((row.contradiction_gap > 1e-6, f"gap > 1e-6 at gamma={row.gamma}"))
+        checks.append((row["contradiction_gap"] > 1e-6, f"gap > 1e-6 at gamma={row['gamma']}"))
     _verdict(4, "distance geometry", checks)
 
 
@@ -128,10 +131,10 @@ def test_criterion_5_min_kernel_positive_case():
         size = int(rng.integers(1, 13))
         lengths = [int(x) for x in rng.integers(1, 51, size=size)]
         verdict = verify_min_kernel_psd(lengths)
-        checks.append((verdict.entries_exact, f"entries = min exactly (trial {trial})"))
+        checks.append((verdict["entries_exact"], f"entries = min exactly (trial {trial})"))
         checks.append(
             (
-                verdict.verdict.min_eigenvalue >= -1e-9,
+                verdict["min_eigenvalue"] >= -1e-9,
                 f"lambda_min >= -1e-9 (trial {trial})",
             )
         )

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from oakern import cli
 from oakern.assignment_kernel import (
+    MAX_GRAM_CELLS,
     TupleObject,
     assignment_kernel,
+    check_gram_size,
     gram_matrix,
     parse_tuple_dataset,
     profit_matrix,
@@ -228,6 +230,16 @@ def test_gram_permutes_with_the_tuples(case, rnd):
     gram = gram_matrix(tuples, base).values
     permuted = gram_matrix([tuples[k] for k in order], base).values
     assert np.all(np.abs(permuted - gram[np.ix_(order, order)]) <= 1e-12 * np.maximum(1.0, np.abs(gram)))
+
+
+def test_gram_size_bound():
+    # the largest profit block has L_max * sum(L) cells, the Gram matrix n * n
+    assert MAX_GRAM_CELLS == 10**7  # the limit the README documents
+    for fits in ([1000] * 10, [1] * 3162, list(range(1, 201)), [12] * 1000):
+        check_gram_size(fits)
+    for too_large in ([1000] * 10 + [1], [1] * 3163, [3163], [200000]):
+        with pytest.raises(InputError):
+            check_gram_size(too_large)
 
 
 def test_far_apart_points_have_zero_profit():

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from oakern import cli
-from oakern.counterexample import SQUARE_TUPLES, run_counterexample
+from oakern.assignment_kernel import MAX_GRAM_CELLS
+from oakern.counterexample import (
+    SQUARE_TUPLES,
+    gamma_sweep,
+    run_counterexample,
+    sweep_to_csv,
+    verify_min_kernel_psd,
+)
 from oakern.errors import NumericError
 from oakern.serialize import dumps_json, loads_json, matrix_to_csv
 from oakern.spectral import Spectrum, jacobi_eigen, psd_check
@@ -46,8 +53,8 @@ def test_gram_then_spectrum_round_trip(tmp_path, square_dataset):
     # 17-significant-digit serialization round-trips binary64 exactly, so the
     # piped spectrum must agree with the in-process one bit for bit
     assert spectrum["psd"] is False
-    assert spectrum["eigenvalues"] == [float(w) for w in report.spectrum.eigenvalues]
-    assert spectrum["min_eigenvalue"] == report.spectrum.min_eigenvalue
+    assert spectrum["eigenvalues"] == [float(w) for w in report["spectrum"]["eigenvalues"]]
+    assert spectrum["min_eigenvalue"] == report["spectrum"]["min_eigenvalue"]
 
 
 def test_gram_csv_output(tmp_path, square_dataset):
@@ -221,7 +228,7 @@ def test_gram_file_unchanged_when_points_and_gamma_rescale(tmp_path, k):
 @pytest.mark.parametrize("k", [-600, 40])
 def test_spectrum_file_scales_with_the_matrix_file(tmp_path, k):
     # eigenvalues scale by exactly 2^k; the verdict and its margin are scale-free to the byte
-    square = run_counterexample(1.0).gram_computed.values  # not PSD
+    square = run_counterexample(1.0)["gram_computed"]["values"]  # not PSD
     B = np.random.default_rng(12).standard_normal((12, 8))
     S = B @ B.T
     rank_8 = (S + S.T) / 2.0  # PSD, with four eigenvalues at rounding level
@@ -260,6 +267,9 @@ def test_stdout_output(capsys):
         ("counterexample", "--gamma", "+1"),
         ("sweep", "--grid", "0.5,1_0"),
         ("verify-min-kernel", "--lengths", "\u0663,1_0"),
+        ("verify-min-kernel", "--lengths", "1.5"),
+        ("verify-min-kernel", "--lengths", "1e1"),
+        ("verify-min-kernel", "--lengths", "2,2.0"),
     ],
 )
 def test_input_errors_exit_1(args, tmp_path, capsys):
@@ -472,6 +482,82 @@ def test_input_too_large_for_memory_is_one_error_line():
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_memory_error_is_one_error_line(monkeypatch, tmp_path, capsys):
+    def exhaust(tuples, base):
+        raise MemoryError
+
+    monkeypatch.setattr("oakern.cli.gram_matrix", exhaust)
+    path = tmp_path / "one.json"
+    dataset = {"base_kernel": {"type": "constant_one"}, "tuples": [{"elements": ["1"]}]}
+    path.write_text(dumps_json(dataset), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("gram", "--input", path) == 1
+    assert capsys.readouterr().err == "error: input too large to fit in memory\n"
+
+
+@pytest.mark.parametrize("length", ["100000000000000000000", "9223372036854775808"])
+def test_lengths_past_the_size_bound_are_one_error_line(length, tmp_path, capsys):
+    # refused before any tuple is built, so this runs in-process without an address-space cap
+    capsys.readouterr()
+    assert run_cli("verify-min-kernel", "--lengths", length, "--output", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shape", ["one long tuple", "many tuples"])
+def test_gram_past_the_size_bound_is_one_error_line(shape, tmp_path, capsys):
+    side = math.isqrt(MAX_GRAM_CELLS) + 1  # side * side cells: a profit block, or the Gram matrix
+    if shape == "one long tuple":
+        tuples = [{"elements": ["1"] * side}]
+    else:
+        tuples = [{"elements": ["1"]}] * side
+    path = tmp_path / "big.json"
+    dataset = {"base_kernel": {"type": "constant_one"}, "tuples": tuples}
+    path.write_text(dumps_json(dataset), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("gram", "--input", path, "--output", tmp_path / "gram.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+    assert not (tmp_path / "gram.json").exists()
+
+
+def test_gram_file_permutes_with_the_tuples(tmp_path):
+    rng = np.random.default_rng(8)
+    rows = [
+        {"label": f"t{i}", "elements": rng.standard_normal((n, 2)).tolist()}
+        for i, n in enumerate([3, 1, 4, 2, 4, 3, 5, 2, 3])
+    ]
+    order = rng.permutation(len(rows)).tolist()
+    grams = []
+    for name, tuples in (("base", rows), ("permuted", [rows[k] for k in order])):
+        dataset, out = tmp_path / f"{name}.json", tmp_path / f"{name}_gram.json"
+        doc = {"base_kernel": {"type": "rbf", "gamma": 0.5}, "tuples": tuples}
+        dataset.write_text(dumps_json(doc), encoding="utf-8")
+        assert run_cli("gram", "--input", dataset, "--output", out) == 0
+        grams.append(loads_json(out.read_text(encoding="utf-8")))
+    base, permuted = grams
+    assert permuted["labels"] == [f"t{k}" for k in order]
+    want = np.array(base["values"])[np.ix_(order, order)]
+    got = np.array(permuted["values"])
+    # an equal-length pair may be solved in the other orientation, so allow rounding
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_results_are_the_documents_the_commands_write(tmp_path):
+    runs = [
+        (("counterexample", "--gamma", "0.5"), run_counterexample(0.5)),
+        (("verify-min-kernel", "--lengths", "3,1,2"), verify_min_kernel_psd([3, 1, 2])),
+    ]
+    for argv, result in runs:
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--output", out) == 0
+        assert out.read_text(encoding="utf-8") == dumps_json(result)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--grid", "0.5,2", "--output", out) == 0
+    assert out.read_text(encoding="utf-8") == sweep_to_csv(gamma_sweep([0.5, 2.0]))
 
 
 def test_benchmark_hooks_name_existing_functions():

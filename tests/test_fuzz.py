@@ -11,6 +11,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oakern import cli
+from oakern.assignment_kernel import MAX_GRAM_CELLS
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -93,11 +94,13 @@ def csv_documents(draw):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-# flag text; a length is at most 50 and a grid has at most 4 values, so no example allocates much
+# flag text; a length is at most 50 or past the Gram size bound, which refuses it before
+# anything is built, and a grid has at most 4 values, so no example allocates much
 number_text = st.floats().map(repr) | st.integers(-5, 100).map(str) | st.text(
     alphabet="0123456789.-+e_naifx ", max_size=6
 )
-length_text = st.integers(-3, 50).map(str) | st.sampled_from(
+too_long = st.integers(MAX_GRAM_CELLS + 1, 2**70)
+length_text = st.integers(-3, 50).map(str) | too_long.map(str) | st.sampled_from(
     ["", " ", "x", "1.5", "1_0", "+5", "-0", "0x1", "1e1", "nan", "\u0663"]
 )
 
