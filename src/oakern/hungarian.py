@@ -5,8 +5,8 @@ pairing always has min(m, n) pairs. There is one cost convention, the
 negated profits, and one solve: the O(k^2 width) shortest augmenting path
 form of the Hungarian method on the k x width problem, k <= width, taken
 directly without padding. It starts from a greedy row reduction (Jonker &
-Volgenant, 1987): each row takes its cheapest column if that column is
-still free, and only the rows that collide go through a search.
+Volgenant, 1987): each row takes its cheapest column, or the first free
+column tied with it, and only the rows that find none go through a search.
 
 - :func:`block_assignment_values` is the kernel's path. It takes one profit
   block and a list of column ranges, validates the block and converts it to
@@ -86,12 +86,15 @@ def _lap_min(cost: list[list[float]]):
     start is a greedy row reduction (Jonker & Volgenant, "A shortest
     augmenting path algorithm for dense and sparse linear assignment
     problems", 1987): row i gets u[i] = its smallest cost and takes the
-    first column with that cost if no earlier row holds it. Each row left
-    over is then matched by a Dijkstra search over reduced costs that scans
-    only the columns not yet reached, preferring an unassigned column on
-    ties (Crouse, "On implementing 2D rectangular assignment algorithms",
-    2016). Plain Python lists beat numpy here: the matrices are small and
-    each search step touches at most ``width`` entries.
+    first column with that cost that no earlier row holds, if there is one.
+    The free columns are walked only when the first such column is taken
+    and the minimum is tied, so untied rows pay one list count per
+    collision. Each row left over is then matched by a Dijkstra search over
+    reduced costs that scans only the columns not yet reached, preferring
+    an unassigned column on ties (Crouse, "On implementing 2D rectangular
+    assignment algorithms", 2016). Plain Python lists beat numpy here: the
+    matrices are small and each search step touches at most ``width``
+    entries.
 
     Returns ``(col_of_row, u, v)`` where the potentials satisfy
     u[i] + v[j] <= cost[i][j] with equality on assigned edges and v[j] = 0
@@ -107,10 +110,19 @@ def _lap_min(cost: list[list[float]]):
     col_of_row = [-1] * k
     row_of_col = [-1] * width
     searches = []
+    free = None  # unassigned columns in order, built at the first tied collision
     for i, row in enumerate(cost):
         lowest = min(row)
         u[i] = lowest
         j = row.index(lowest)
+        if row_of_col[j] >= 0 and row.count(lowest) > 1:
+            if free is None:
+                free = [c for c in range(width) if row_of_col[c] < 0]
+            for pos, c in enumerate(free):
+                if row[c] == lowest and row_of_col[c] < 0:
+                    j = c
+                    del free[pos]
+                    break
         if row_of_col[j] < 0:
             row_of_col[j] = i
             col_of_row[i] = j
@@ -169,7 +181,8 @@ def _solve_range(cost_rows, cost_cols, start: int, end: int):
     """Optimal assignment of the column range ``start:end`` of one converted block.
 
     ``cost_rows`` and ``cost_cols`` are the negated profits as row lists and
-    as column lists. The shorter side of the range is the domain: the rows
+    as column lists; ``cost_cols`` is read only for a range narrower than
+    the block is tall. The shorter side of the range is the domain: the rows
     when there are no more rows than columns in the range, else the
     columns. Returns ``_lap_min``'s mapping of that domain into the longer
     side, with range-relative column indices, and the total of the selected
@@ -188,10 +201,15 @@ def _solve_range(cost_rows, cost_cols, start: int, end: int):
     return mapping, _checked_total(total)
 
 
-def _cost_lists(P: np.ndarray):
-    """The row lists and column lists of the negated profits."""
+def _cost_lists(P: np.ndarray, ranges):
+    """The row lists of the negated profits, and their column lists if some range needs them.
+
+    A range needs the column lists when it has fewer columns than ``P`` has
+    rows; otherwise the second list is None.
+    """
     cost = -P
-    return cost.tolist(), cost.T.tolist()
+    narrow = any(end - start < P.shape[0] for start, end in ranges)
+    return cost.tolist(), cost.T.tolist() if narrow else None
 
 
 def block_assignment_values(block, ranges) -> list[float]:
@@ -202,12 +220,13 @@ def block_assignment_values(block, ranges) -> list[float]:
     ``block[:, start:end]`` for ``ranges[t]``, the shorter side injected into
     the longer one. The block is validated, and its costs (the negated
     profits: the greedy start needs no shift to nonnegative costs) are
-    converted to row and column lists, once for all ranges. Each total is
+    converted to row lists (and to column lists if some range is narrower
+    than the block is tall), once for all ranges. Each total is
     summed from the profits in domain order. Raises :class:`InputError`
     for a block that :func:`solve_max_assignment` would reject, and
     :class:`NumericError` for a total outside float64 range.
     """
-    lists = _cost_lists(_validate_profits(block))
+    lists = _cost_lists(_validate_profits(block), ranges)
     return [_solve_range(*lists, start, end)[1] for start, end in ranges]
 
 
@@ -219,7 +238,8 @@ def max_assignment_value(profits) -> float:
     built.
     """
     P = _validate_profits(profits)
-    return _solve_range(*_cost_lists(P), 0, P.shape[1])[1]
+    whole = (0, P.shape[1])
+    return _solve_range(*_cost_lists(P, [whole]), *whole)[1]
 
 
 def solve_max_assignment(profits) -> Assignment:
@@ -230,7 +250,8 @@ def solve_max_assignment(profits) -> Assignment:
     left unspecified.
     """
     P = _validate_profits(profits)
-    mapping, value = _solve_range(*_cost_lists(P), 0, P.shape[1])
+    whole = (0, P.shape[1])
+    mapping, value = _solve_range(*_cost_lists(P, [whole]), *whole)
     return Assignment(pairs=tuple(enumerate(mapping)), value=value)
 
 

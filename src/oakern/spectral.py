@@ -3,7 +3,8 @@
 The eigensolver is a cyclic Jacobi sweep: the matrices in this package are
 tiny, and Jacobi delivers high-accuracy orthogonal eigenvectors with a
 convergence test that is trivial to state (off-diagonal Frobenius norm
-below 1e-12 of the input norm, which rotations preserve).
+below 1e-12 of the input norm, which rotations preserve). The matrix and
+its eigenvectors share one stacked array, so a rotation moves both at once.
 
 A :class:`Spectrum` holds eigenpairs only, never a verdict. The PSD rule
 lives in :func:`psd_check` alone and is scale-free: with
@@ -70,6 +71,10 @@ def jacobi_eigen(G) -> Spectrum:
     drops below 1e-12 of the input norm. Raises :class:`NumericError` if
     ``_MAX_SWEEPS`` sweeps do not get there.
 
+    A and the rotations' product V are the halves of one (2n x n) array: a
+    rotation updates columns p and q of both in one operation each, copies
+    A's new columns into its rows p and q, and sets the 2 x 2 block.
+
     The sweeps run on A scaled by a power of two that brings its largest
     entry into [0.5, 1), so that the norms neither overflow nor underflow.
     The scaling is exact for every entry above 2^-1022 times the largest,
@@ -78,12 +83,11 @@ def jacobi_eigen(G) -> Spectrum:
     """
     A = _as_symmetric(G)
     _, exponent = math.frexp(float(np.max(np.abs(A))))
-    A = np.ldexp(A, -exponent)
     n = A.shape[0]
-    V = np.eye(n)
+    M = np.vstack([np.ldexp(A, -exponent), np.eye(n)])
+    A, V = M[:n], M[n:]
     scale = float(np.linalg.norm(A))
     target = _OFFDIAG_TARGET * scale
-    others = np.ones(n, dtype=bool)
 
     sweeps = 0
     while _offdiag_norm(A) > target:
@@ -96,7 +100,8 @@ def jacobi_eigen(G) -> Spectrum:
                 apq = A[p, q]
                 if apq == 0.0:
                     continue
-                h = A[q, q] - A[p, p]
+                app, aqq = A[p, p], A[q, q]
+                h = aqq - app
                 if abs(h) + 100.0 * abs(apq) == abs(h):
                     t = apq / h
                 else:
@@ -108,21 +113,15 @@ def jacobi_eigen(G) -> Spectrum:
                 s = t * c
                 tau = s / (1.0 + c)
 
-                others[p] = others[q] = False
-                ap = A[others, p].copy()
-                aq = A[others, q].copy()
-                A[others, p] = A[p, others] = ap - s * (aq + tau * ap)
-                A[others, q] = A[q, others] = aq + s * (ap - tau * aq)
-                others[p] = others[q] = True
-
-                A[p, p] -= t * apq
-                A[q, q] += t * apq
+                mp = M[:, p].copy()
+                mq = M[:, q]
+                M[:, p] = mp - s * (mq + tau * mp)
+                M[:, q] = mq + s * (mp - tau * mq)
+                A[p] = A[:, p]
+                A[q] = A[:, q]
+                A[p, p] = app - t * apq
+                A[q, q] = aqq + t * apq
                 A[p, q] = A[q, p] = 0.0
-
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = vp - s * (vq + tau * vp)
-                V[:, q] = vq + s * (vp - tau * vq)
         sweeps += 1
 
     with np.errstate(over="ignore"):

@@ -95,6 +95,14 @@ def test_constant_one_gives_min_kernel(nx, ny):
     assert assignment_kernel(x, y, constant_one()) == float(min(nx, ny))
 
 
+def test_constant_one_gram_on_shuffled_lengths_is_min_kernel():
+    # shuffled lengths put both orientations of all-ones blocks through the tied greedy start
+    lengths = np.random.default_rng(60).permutation(np.arange(1, 61)).tolist()
+    gram = gram_matrix([TupleObject(elements=("1",) * L) for L in lengths], constant_one())
+    as_floats = np.array(lengths, dtype=float)
+    assert np.array_equal(gram.values, np.minimum.outer(as_floats, as_floats))
+
+
 def test_square_pairs_gram_matches_closed_form():
     gram = gram_matrix(SQUARE_TUPLES, RBF1)
     closed = expected_gram_closed_form(1.0)

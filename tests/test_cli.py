@@ -461,6 +461,29 @@ def test_module_entry_point(tmp_path):
     assert loads_json(proc.stdout)["refuted"] is True
 
 
+def test_commands_do_not_import_scipy(tmp_path, square_dataset):
+    # scipy is a test oracle only; in a command it would cost import time and memory
+    gram_path = tmp_path / "gram.json"
+    commands = [
+        ["counterexample", "--gamma", "1.0", "--output", str(tmp_path / "certificate.json")],
+        ["gram", "--input", str(square_dataset), "--output", str(gram_path)],
+        ["spectrum", "--input", str(gram_path), "--output", str(tmp_path / "spectrum.json")],
+    ]
+    code = (
+        "import sys\n"
+        "import oakern.cli\n"
+        f"codes = [oakern.cli.main(args) for args in {commands!r}]\n"
+        "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout == "[0, 0, 0] []\n", proc.stderr
+
+
 def test_input_too_large_for_memory_is_one_error_line():
     # a 200000 x 200000 profit block needs about 298 GiB; the address-space cap
     # makes the allocation fail at once instead of straining the machine

@@ -292,6 +292,20 @@ def test_block_values_match_each_slice(P, rnd):
         assert value == max_assignment_value(P[:, start:end])
 
 
+tie_profits = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@given(st.integers(1, 6), st.lists(st.integers(1, 8), min_size=1, max_size=4), st.data())
+def test_block_values_match_the_oracle_on_tied_profits(rows, widths, data):
+    # table-style profits tie heavily; the shorter side is at most 6, and ranges
+    # narrower than the block is tall are solved on its transpose
+    ends = np.cumsum(widths).tolist()
+    ranges = [(end - w, end) for end, w in zip(ends, widths)]
+    P = data.draw(arrays(np.float64, (rows, ends[-1]), elements=tie_profits))
+    got = block_assignment_values(P, ranges)
+    assert got == [brute_force_assignment(P[:, start:end]).value for start, end in ranges]
+
+
 # ------------------------------------ an independent oracle past the brute force's cap
 
 LARGE_BLOCKS = {

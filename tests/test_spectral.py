@@ -93,6 +93,56 @@ def test_spectrum_invariants_larger(n):
     check_spectrum_invariants(G, jacobi_eigen(G))
 
 
+@pytest.mark.parametrize("n", [72, 100])
+def test_eigenvalues_match_lapack(n):
+    # 72 is the audit-repair size
+    G = random_symmetric(np.random.default_rng(n), n)
+    w = jacobi_eigen(G).eigenvalues
+    want = np.linalg.eigvalsh(G)[::-1]
+    assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("x", [2.5, -3.0, 0.0])
+def test_one_by_one(x):
+    spectrum = jacobi_eigen(np.array([[x]]))
+    assert spectrum.eigenvalues.tolist() == [x]
+    assert spectrum.eigenvectors.tolist() == [[1.0]]
+
+
+def test_input_left_unchanged():
+    G = random_symmetric(np.random.default_rng(7), 9)
+    before = G.copy()
+    jacobi_eigen(G)
+    assert np.array_equal(G, before)
+
+
+def test_results_are_read_only_and_own_their_memory():
+    G = random_symmetric(np.random.default_rng(8), 6)
+    spectrum = jacobi_eigen(G)
+    w, V = spectrum.eigenvalues, spectrum.eigenvectors
+    assert not w.flags.writeable and not V.flags.writeable
+    assert not np.shares_memory(w, V)
+    assert not np.shares_memory(w, G) and not np.shares_memory(V, G)
+
+
+def test_block_diagonal_keeps_its_blocks():
+    # the exact-zero coupling is skipped by every rotation, so no eigenvector mixes
+    # blocks; the equal leading diagonal entries make a rotation there divide 0 by 0
+    rng = np.random.default_rng(9)
+    second = random_symmetric(rng, 3)
+    np.fill_diagonal(second, 2.0)
+    blocks = [np.array([[2.0]]), second, random_symmetric(rng, 3)]
+    G = np.zeros((7, 7))
+    G[:1, :1], G[1:4, 1:4], G[4:, 4:] = blocks
+    spectrum = jacobi_eigen(G)
+    want = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[::-1]
+    assert np.max(np.abs(spectrum.eigenvalues - want)) <= 1e-12 * np.max(np.abs(want))
+    rows_of_block = np.split(spectrum.eigenvectors, [1, 4])
+    support = np.stack([np.any(rows != 0.0, axis=0) for rows in rows_of_block])
+    assert np.all(support.sum(axis=0) == 1)
+    assert support.sum(axis=1).tolist() == [1, 3, 3]
+
+
 def test_zero_matrix():
     spectrum = jacobi_eigen(np.zeros((4, 4)))
     assert np.array_equal(spectrum.eigenvalues, np.zeros(4))
